@@ -6,6 +6,8 @@ verification harnesses for the associated Opial-, Ostrowski-, Poincaré-,
 Sobolev- and averaged-Sobolev-type bounds.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     BoundaryConditionError,
     DomainError,
@@ -88,5 +90,3 @@ from .taylor import (
     taylor_integer,
     taylor_seed_of,
 )
-
-__version__ = "0.1.0"

@@ -4,6 +4,11 @@ All kernels are built from the normalised weights ``w_ν(n)`` produced by
 :func:`kernel_weights`: ``w_ν(1) = 1`` and ``w_ν(n+1) = w_ν(n)·(ν+n−1)/n``.
 On the exact backend the recurrence runs in big rationals, which is what
 makes every identity in this package checkable with zero tolerance.
+
+Every fractional sum, Caputo-like difference and Taylor remainder in the
+package is the same discrete convolution ``Σ_{i=0}^{k} w[k−i]·v[i]``, and
+:func:`_convolve` is its single implementation.  It accumulates in ascending
+``i`` from the backend zero, which fixes the float results bit for bit.
 """
 
 from __future__ import annotations
@@ -131,6 +136,13 @@ class KernelRow:
         return cls(base=base, order=order, weights=kernel_weights(order, length, backend))
 
 
+def _convolve(w: tuple, v: tuple, k: int, acc: Scalar) -> Scalar:
+    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]``, accumulated in ascending ``i``."""
+    for x, y in zip(reversed(w[: k + 1]), v):
+        acc += x * y
+    return acc
+
+
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     """Order-ν backward fractional sum of ``f`` from base ``a`` at ``t``:
     ``Σ_{s=a}^{t} w_ν(t−s+1)·f(s)``.  Integer ν reproduces the iterated sum."""
@@ -139,10 +151,7 @@ def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
         raise EmptyRangeError(f"fractional sum needs t >= a, got t={t} < a={a}")
     f.require_window(a, t)
     w = kernel_weights(nu, t - a + 1, f.backend)
-    acc = f.zero()
-    for s in range(a, t + 1):
-        acc += w[t - s] * f.at(s)
-    return acc
+    return _convolve(w, f.values[a - f.lo :], t - a, f.zero())
 
 
 def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> GridFunction:
@@ -154,13 +163,9 @@ def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> Gr
         raise EmptyRangeError(f"fractional sum grid needs hi >= a, got hi={hi} < a={a}")
     f.require_window(a, hi)
     w = kernel_weights(nu, hi - a + 1, f.backend)
-    out = []
-    for t in range(a, hi + 1):
-        acc = f.zero()
-        for s in range(a, t + 1):
-            acc += w[t - s] * f.at(s)
-        out.append(acc)
-    return GridFunction(a, tuple(out))
+    v = f.values[a - f.lo :]
+    zero = f.zero()
+    return GridFunction(a, tuple(_convolve(w, v, k, zero) for k in range(hi - a + 1)))
 
 
 def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
@@ -173,10 +178,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
     f.require_window(a, a + j)
     # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1).
     w = kernel_weights(nu, j + 1, f.backend)
-    acc = f.zero()
-    for s in range(a, a + j + 1):
-        acc += w[a + j - s] * f.at(s)
-    return acc
+    return _convolve(w, f.values[a - f.lo :], j, f.zero())
 
 
 def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
@@ -188,10 +190,8 @@ def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
         raise EmptyRangeError(f"caputo difference needs t >= a, got t={t} < a={a}")
     f.require_window(a - m, t)
     w = kernel_weights(m - mu.value, t - a + 1, f.backend)
-    acc = f.zero()
-    for s in range(a, t + 1):
-        acc += w[t - s] * nabla(f, s, m)
-    return acc
+    h = tuple(nabla(f, s, m) for s in range(a, t + 1))
+    return _convolve(w, h, t - a, f.zero())
 
 
 def caputo_nabla_grid(f: GridFunction, a: int, mu: OrderInput, hi: int = None) -> GridFunction:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from typing import IO, Union
 
+from . import __version__
 from .errors import DomainError, ParameterError, ParseError
 from .grid import GridFunction
-from .harness import SuiteResult
-from .ineq import InequalityReport
 from .scalars import Backend, Scalar
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "write_grid_json",
     "write_report",
 ]
-
-VERSION = "0.1.0"
 
 
 def format_scalar(value: Scalar) -> str:
@@ -59,8 +57,18 @@ def parse_scalar(text: str, backend: Backend = Backend.EXACT) -> Scalar:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed value {text!r}") from exc
     if backend is Backend.FLOAT:
-        return float(exact)
+        return _finite_float(exact)
     return exact
+
+
+def _finite_float(value) -> float:
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise ParseError("grid value is out of the float range") from exc
+    if not math.isfinite(out):
+        raise ParseError(f"grid values must be finite, got {value!r}")
+    return out
 
 
 def _jsonable(value):
@@ -149,6 +157,8 @@ def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT
     lo = payload["lo"]
     if not isinstance(lo, int):
         raise ParseError(f"grid 'lo' must be an integer, got {lo!r}")
+    if not isinstance(payload["values"], list):
+        raise ParseError(f"grid 'values' must be a list, got {type(payload['values']).__name__}")
     values = []
     for v in payload["values"]:
         if isinstance(v, bool):
@@ -156,13 +166,13 @@ def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT
         if isinstance(v, str):
             values.append(parse_scalar(v, backend))
         elif isinstance(v, int):
-            values.append(Fraction(v) if backend is Backend.EXACT else float(v))
+            values.append(Fraction(v) if backend is Backend.EXACT else _finite_float(v))
         elif isinstance(v, float):
             if backend is Backend.EXACT:
                 raise ParseError(
                     f"decimal literal {v!r} in an exact grid; quote it as a string"
                 )
-            values.append(v)
+            values.append(_finite_float(v))
         else:
             raise ParseError(f"unsupported grid value {v!r}")
     return GridFunction(lo, tuple(values))
@@ -193,7 +203,8 @@ def read_grid(path: str, fmt: str = None, backend: Backend = Backend.EXACT) -> G
 # reports
 
 
-def report_to_dict(report: InequalityReport) -> dict:
+def report_to_dict(report) -> dict:
+    """Serializable form of an inequality report (``nablafrac.InequalityReport``)."""
     return {
         "name": report.name,
         "params": _jsonable(report.params),
@@ -205,13 +216,14 @@ def report_to_dict(report: InequalityReport) -> dict:
     }
 
 
-def suite_to_dict(result: SuiteResult) -> dict:
+def suite_to_dict(result) -> dict:
+    """Serializable form of a suite result (``nablafrac.SuiteResult``)."""
     return {
         "name": result.suite,
         "trials": result.trials,
         "master_seed": result.master_seed,
         "backend": str(result.backend),
-        "version": VERSION,
+        "version": __version__,
         "failures": result.failures,
         "worst_slack": _jsonable(result.worst_slack),
         "failing_seeds": list(result.failing_seeds),
@@ -232,9 +244,10 @@ def _flatten(obj: dict) -> list:
     return rows
 
 
-def render_report(obj: Union[InequalityReport, SuiteResult], fmt: str = "table") -> str:
-    """Render a report or suite result as ``json``, ``csv`` or ``table`` text."""
-    payload = report_to_dict(obj) if isinstance(obj, InequalityReport) else suite_to_dict(obj)
+def render_report(obj, fmt: str = "table") -> str:
+    """Render an inequality report or a suite result as ``json``, ``csv`` or
+    ``table`` text.  Only reports carry ``components``."""
+    payload = report_to_dict(obj) if hasattr(obj, "components") else suite_to_dict(obj)
     if fmt == "json":
         return to_json(payload)
     rows = _flatten(payload)

@@ -473,7 +473,12 @@ def _trial_opial_25(rng: random.Random, backend: Backend, opts: dict) -> Inequal
     return opial_corollary_25(f, t)
 
 
-def _trial_ostrowski(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _draw_shifted_instance(
+    rng: random.Random, backend: Backend, opts: dict, zero_initials_from: Callable[[int, int], int]
+):
+    """Draw ``(μ, p, a, b, f)`` for the shifted single-order bounds; ``f`` has
+    vanishing backward differences of order ``zero_initials_from(p, m) .. m−1``
+    at the base.  The draw order is fixed so trial seeds reproduce."""
     mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
         rng, Fraction(0), Fraction(4), non_integer=True
     ))
@@ -483,35 +488,22 @@ def _trial_ostrowski(rng: random.Random, backend: Backend, opts: dict) -> Inequa
         p = rng.randint(0, m - 1)
     a = rng.randint(0, 3)
     b = a + m + 1 + rng.randint(0, 11)
-    f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=min(p + 1, m)), backend)
+    f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=zero_initials_from(p, m)), backend)
+    return mu, p, a, b, f
+
+
+def _trial_ostrowski(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+    mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: min(p + 1, m))
     return ostrowski_report(f, a, b, mu, p)
 
 
 def _trial_poincare(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
-    mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
-        rng, Fraction(0), Fraction(4), non_integer=True
-    ))
-    m = mu.m
-    p = opts.get("p")
-    if p is None:
-        p = rng.randint(0, m - 1)
-    a = rng.randint(0, 3)
-    b = a + m + 1 + rng.randint(0, 11)
-    f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=p), backend)
+    mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: p)
     return poincare_report(f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2))
 
 
 def _trial_sobolev(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
-    mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
-        rng, Fraction(0), Fraction(4), non_integer=True
-    ))
-    m = mu.m
-    p = opts.get("p")
-    if p is None:
-        p = rng.randint(0, m - 1)
-    a = rng.randint(0, 3)
-    b = a + m + 1 + rng.randint(0, 11)
-    f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=p), backend)
+    mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: p)
     return sobolev_report(
         f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2), opts.get("r", 2)
     )

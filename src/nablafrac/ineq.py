@@ -34,7 +34,7 @@ from .scalars import (
     parse_order,
     to_float,
 )
-from .taylor import sum_rising_closed_form
+from .taylor import _check_extended_args, sum_rising_closed_form
 
 __all__ = [
     "InequalityReport",
@@ -362,12 +362,7 @@ def ostrowski_report(
     the telescoped kernel-mass bound.  Rational end to end on the exact backend."""
     mu = as_order(mu).require_non_integer("average-deviation bound")
     m = mu.m
-    if a < 0:
-        raise ParameterError(f"base must be non-negative, got a={a}")
-    if not isinstance(p, int) or p < 0:
-        raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
-    if p >= mu.value:
-        raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
+    _check_extended_args(a, mu, p)
     if b <= a + m:
         raise WindowError(f"average needs b > a+m = {a + m}, got b={b}")
     f.require_window(a - m + 1, b)
@@ -439,12 +434,7 @@ def poincare_report(
     gamma = as_exponent(gamma)
     delta = as_exponent(delta)
     _check_conjugate(gamma, delta, policy)
-    if a < 0:
-        raise ParameterError(f"base must be non-negative, got a={a}")
-    if not isinstance(p, int) or p < 0:
-        raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
-    if p >= mu.value:
-        raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
+    _check_extended_args(a, mu, p)
     if b < a + m:
         raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
     f.require_window(a - m + 1, b)
@@ -503,12 +493,7 @@ def sobolev_report(
     _check_conjugate(gamma, delta, policy)
     if r < 1:
         raise ParameterError(f"norm exponent r must be >= 1, got {r}")
-    if a < 0:
-        raise ParameterError(f"base must be non-negative, got a={a}")
-    if not isinstance(p, int) or p < 0:
-        raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
-    if p >= mu.value:
-        raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
+    _check_extended_args(a, mu, p)
     if b < a + m:
         raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
     f.require_window(a - m + 1, b)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
 from .fracops import (
     FractionalOrder,
     OrderInput,
+    _convolve,
     as_order,
     caputo_nabla_grid,
     kernel_weights,
@@ -53,13 +54,26 @@ class TaylorExpansion:
     total: Scalar
 
 
-def _poly_weight(n: int, k: int, backend: Backend) -> Scalar:
-    """Rising power of ``n`` with exponent ``k`` over ``k!`` for integer ``k ≥ 0``."""
-    if n == 0:
-        return (1.0 if backend is Backend.FLOAT else Fraction(1)) if k == 0 else (
-            0.0 if backend is Backend.FLOAT else Fraction(0)
-        )
-    return kernel_weights(Fraction(k + 1), n, backend)[n - 1]
+def _poly_part(initials: tuple, p: int, n: int, backend: Backend) -> Scalar:
+    """Degree-(m−1) polynomial part at ``t = a+n`` (``n ≥ 1``): the sum over
+    ``k = p .. m−1`` of the rising power of n with exponent k−p over (k−p)!
+    times ``initials[k] = ∇^k f(a)``, accumulated in ascending k."""
+    acc: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
+    for k in range(p, len(initials)):
+        acc += kernel_weights(Fraction(k - p + 1), n, backend)[n - 1] * initials[k]
+    return acc
+
+
+def _expand(
+    order: Fraction, initials: tuple, source: tuple, p: int, offsets: Sequence[int], backend: Backend
+) -> list:
+    """The expansion core: ``(poly_part, remainder)`` at ``t = a+n`` for each
+    ``n`` in ``offsets``.  ``source[i]`` is the remainder's source value at
+    ``a+1+i`` (∇^m f or the Caputo-like difference) and ``order`` the
+    remainder kernel's order (m, μ or μ−p)."""
+    w = kernel_weights(order, offsets[-1], backend)
+    zero: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
+    return [(_poly_part(initials, p, n, backend), _convolve(w, source, n - 1, zero)) for n in offsets]
 
 
 def _check_window(f: GridFunction, a: int, m: int, t: int) -> None:
@@ -73,20 +87,19 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     if not isinstance(m, int) or m < 1:
         raise ParameterError(f"integer order m must be >= 1, got {m!r}")
     _check_window(f, a, m, t)
-    backend = f.backend
-    poly = f.zero()
-    for k in range(m):
-        poly += _poly_weight(t - a, k, backend) * nabla(f, a, k)
-    w = kernel_weights(Fraction(m), t - a, backend)
-    rem = f.zero()
-    for tau in range(a + 1, t + 1):
-        rem += w[t - tau] * nabla(f, tau, m)
+    initials = tuple(nabla(f, a, k) for k in range(m))
+    h = tuple(nabla(f, tau, m) for tau in range(a + 1, t + 1))
+    [(poly, rem)] = _expand(Fraction(m), initials, h, 0, (t - a,), f.backend)
     return TaylorExpansion(base=a, order=m, p=0, poly_part=poly, remainder=rem, total=poly + rem)
 
 
-def _caputo_values(f: GridFunction, a: int, mu: FractionalOrder, t: int) -> GridFunction:
-    # base a+1, defined on [a+1, t]
-    return caputo_nabla_grid(f, a + 1, mu, hi=t)
+def _fractional_parts(f: GridFunction, a: int, mu: FractionalOrder, p: int, t_lo: int, t_hi: int):
+    """The Caputo-like difference on ``[a+1, t_hi]`` (based at ``a+1``) and
+    the ``(poly_part, remainder)`` of the order-μ expansion of ``∇^p f`` at
+    every ``t`` in ``[t_lo, t_hi]``, in ascending t."""
+    cap = caputo_nabla_grid(f, a + 1, mu, hi=t_hi).values
+    initials = tuple(nabla(f, a, k) for k in range(mu.m))
+    return cap, _expand(mu.value - p, initials, cap, p, range(t_lo - a, t_hi - a + 1), f.backend)
 
 
 def taylor_fractional(f: GridFunction, a: int, mu: OrderInput, t: int) -> TaylorExpansion:
@@ -94,17 +107,8 @@ def taylor_fractional(f: GridFunction, a: int, mu: OrderInput, t: int) -> Taylor
     part of degree m−1 plus the order-μ kernel applied to the Caputo-like
     difference based at ``a+1``."""
     mu = as_order(mu).require_non_integer("fractional expansion")
-    m = mu.m
-    _check_window(f, a, m, t)
-    backend = f.backend
-    poly = f.zero()
-    for k in range(m):
-        poly += _poly_weight(t - a, k, backend) * nabla(f, a, k)
-    cap = _caputo_values(f, a, mu, t)
-    w = kernel_weights(mu, t - a, backend)
-    rem = f.zero()
-    for tau in range(a + 1, t + 1):
-        rem += w[t - tau] * cap.at(tau)
+    _check_window(f, a, mu.m, t)
+    _, [(poly, rem)] = _fractional_parts(f, a, mu, 0, t, t)
     return TaylorExpansion(base=a, order=mu, p=0, poly_part=poly, remainder=rem, total=poly + rem)
 
 
@@ -113,29 +117,21 @@ def taylor_fractional_series(
 ) -> Dict[int, TaylorExpansion]:
     """Expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
     mu = as_order(mu).require_non_integer("fractional expansion")
-    m = mu.m
     if t_max is None:
         t_max = f.hi
-    _check_window(f, a, m, t_max)
-    backend = f.backend
-    cap = _caputo_values(f, a, mu, t_max)
-    w = kernel_weights(mu, t_max - a, backend)
-    initials = [nabla(f, a, k) for k in range(m)]
-    out: Dict[int, TaylorExpansion] = {}
-    for t in range(a + m, t_max + 1):
-        poly = f.zero()
-        for k in range(m):
-            poly += _poly_weight(t - a, k, backend) * initials[k]
-        rem = f.zero()
-        for tau in range(a + 1, t + 1):
-            rem += w[t - tau] * cap.at(tau)
-        out[t] = TaylorExpansion(base=a, order=mu, p=0, poly_part=poly, remainder=rem, total=poly + rem)
-    return out
+    _check_window(f, a, mu.m, t_max)
+    _, parts = _fractional_parts(f, a, mu, 0, a + mu.m, t_max)
+    return {
+        t: TaylorExpansion(base=a, order=mu, p=0, poly_part=poly, remainder=rem, total=poly + rem)
+        for t, (poly, rem) in zip(range(a + mu.m, t_max + 1), parts)
+    }
 
 
 def _check_extended_args(a: int, mu: FractionalOrder, p: int) -> None:
+    """Base and shift checks shared by the extended expansion and the bounds
+    built on it: ``a ≥ 0`` and an integer ``0 ≤ p < μ``."""
     if a < 0:
-        raise ParameterError(f"extended representation needs a >= 0, got a={a}")
+        raise ParameterError(f"base must be non-negative, got a={a}")
     if not isinstance(p, int) or p < 0:
         raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
     if p >= mu.value:
@@ -147,17 +143,8 @@ def taylor_extended(f: GridFunction, a: int, mu: OrderInput, p: int, t: int) -> 
     part summed for ``k = p .. m−1``, remainder kernel of order ``μ−p``."""
     mu = as_order(mu).require_non_integer("extended fractional expansion")
     _check_extended_args(a, mu, p)
-    m = mu.m
-    _check_window(f, a, m, t)
-    backend = f.backend
-    poly = f.zero()
-    for k in range(p, m):
-        poly += _poly_weight(t - a, k - p, backend) * nabla(f, a, k)
-    cap = _caputo_values(f, a, mu, t)
-    w = kernel_weights(mu.value - p, t - a, backend)
-    rem = f.zero()
-    for tau in range(a + 1, t + 1):
-        rem += w[t - tau] * cap.at(tau)
+    _check_window(f, a, mu.m, t)
+    _, [(poly, rem)] = _fractional_parts(f, a, mu, p, t, t)
     return TaylorExpansion(base=a, order=mu, p=p, poly_part=poly, remainder=rem, total=nabla(f, t, p))
 
 
@@ -167,26 +154,14 @@ def taylor_extended_series(
     """Extended expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
     mu = as_order(mu).require_non_integer("extended fractional expansion")
     _check_extended_args(a, mu, p)
-    m = mu.m
     if t_max is None:
         t_max = f.hi
-    _check_window(f, a, m, t_max)
-    backend = f.backend
-    cap = _caputo_values(f, a, mu, t_max)
-    w = kernel_weights(mu.value - p, t_max - a, backend)
-    initials = [nabla(f, a, k) for k in range(m)]
-    out: Dict[int, TaylorExpansion] = {}
-    for t in range(a + m, t_max + 1):
-        poly = f.zero()
-        for k in range(p, m):
-            poly += _poly_weight(t - a, k - p, backend) * initials[k]
-        rem = f.zero()
-        for tau in range(a + 1, t + 1):
-            rem += w[t - tau] * cap.at(tau)
-        out[t] = TaylorExpansion(
-            base=a, order=mu, p=p, poly_part=poly, remainder=rem, total=nabla(f, t, p)
-        )
-    return out
+    _check_window(f, a, mu.m, t_max)
+    _, parts = _fractional_parts(f, a, mu, p, a + mu.m, t_max)
+    return {
+        t: TaylorExpansion(base=a, order=mu, p=p, poly_part=poly, remainder=rem, total=nabla(f, t, p))
+        for t, (poly, rem) in zip(range(a + mu.m, t_max + 1), parts)
+    }
 
 
 def kernel_sum_closed_form(a: int, mu: OrderInput, t: int, backend: Backend = Backend.EXACT) -> Scalar:
@@ -222,10 +197,11 @@ def remainder_bound(
     the rising power of ``t−a`` with exponent ``μ−p`` over Γ(μ−p+1) times the
     largest Caputo magnitude on ``(a, t]``.  Guarantees ``lhs ≤ rhs``."""
     mu = as_order(mu).require_non_integer("remainder bound")
-    expansion = taylor_extended(f, a, mu, p, t)
-    lhs = abs(expansion.total - expansion.poly_part)
-    cap = _caputo_values(f, a, mu, t)
-    max_cap = max(abs(cap.at(tau)) for tau in range(a + 1, t + 1))
+    _check_extended_args(a, mu, p)
+    _check_window(f, a, mu.m, t)
+    cap, [(poly, _)] = _fractional_parts(f, a, mu, p, t, t)
+    lhs = abs(nabla(f, t, p) - poly)
+    max_cap = max(abs(v) for v in cap)
     target = mu.value - p + 1
     coeff = normalized_rising(t - a, target, target, f.backend)
     return lhs, coeff * max_cap
@@ -295,14 +271,9 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
         raise WindowError(f"direct evaluation is valid only for t >= a+m = {a + m}, got t={t}")
     if t > seed.b:
         raise WindowError(f"t={t} beyond the seeded range [{a + 1}, {seed.b}]")
-    backend = seed.backend
-    acc: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
-    for k in range(m):
-        acc += _poly_weight(t - a, k, backend) * seed.initial[k]
-    w = kernel_weights(Fraction(m), t - a, backend)
-    for tau in range(a + 1, t + 1):
-        acc += w[t - tau] * seed.h[tau - a - 1]
-    return acc
+    n = t - a
+    w = kernel_weights(Fraction(m), n, seed.backend)
+    return _convolve(w, seed.h, n - 1, _poly_part(seed.initial, 0, n, seed.backend))
 
 
 def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed:

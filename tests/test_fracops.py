@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablafrac import (
     Backend,
@@ -19,11 +21,18 @@ from nablafrac import (
     caputo_nabla,
     caputo_nabla_grid,
     delta_frac_sum,
+    eval_from_taylor_data,
     frac_sum,
     frac_sum_grid,
     kernel_weights,
     nabla,
     scalar_close,
+    taylor_extended,
+    taylor_extended_series,
+    taylor_fractional,
+    taylor_fractional_series,
+    taylor_integer,
+    taylor_seed_of,
 )
 
 HALF = Fraction(1, 2)
@@ -229,3 +238,132 @@ class TestCompositionLaws:
         ff = f.as_float()
         got = caputo_nabla(ff, 1, FIVE_HALVES, 3)
         assert scalar_close(got, Fraction(45, 4), policy)
+
+
+# ---------------------------------------------------------------------------
+# characterisation: every convolution against a naive reference sum
+
+
+def product_weight(nu, n):
+    """``w_ν(n) = ∏_{j=1}^{n−1}(p+q(j−1)) / (q^{n−1}(n−1)!)`` for ν = p/q."""
+    p, q = nu.numerator, nu.denominator
+    num = 1
+    for j in range(1, n):
+        num *= p + q * (j - 1)
+    return Fraction(num, q ** (n - 1) * math.factorial(n - 1))
+
+
+def naive_sum(nu, values, k):
+    """Exact ``Σ_{i=0}^{k} w_ν(k−i+1)·values[i]`` with product-form weights."""
+    return sum((product_weight(nu, k - i + 1) * values[i] for i in range(k + 1)), Fraction(0))
+
+
+def ascending_float_sum(nu, values, k, acc=0.0):
+    """The same sum on floats, accumulated in ascending ``i`` from ``acc``."""
+    w = kernel_weights(nu, k + 1, Backend.FLOAT)
+    for i in range(k + 1):
+        acc += w[k - i] * values[i]
+    return acc
+
+
+def poly_reference(initials, p, n, backend):
+    """``Σ_{k=p}^{m−1} C(n+k−p−1, k−p)·∇^k f(a)``; on floats accumulated in ascending k."""
+    if backend is Backend.EXACT:
+        terms = (math.comb(n + k - p - 1, k - p) * initials[k] for k in range(p, len(initials)))
+        return sum(terms, Fraction(0))
+    acc = 0.0
+    for k in range(p, len(initials)):
+        acc += kernel_weights(k - p + 1, n, Backend.FLOAT)[n - 1] * initials[k]
+    return acc
+
+
+orders = st.builds(Fraction, st.integers(1, 40), st.integers(1, 8))
+
+
+@st.composite
+def fractional_orders(draw, max_ceiling=5):
+    q = draw(st.integers(2, 8))
+    p = draw(st.integers(1, max_ceiling * q).filter(lambda p: p % q != 0))
+    return Fraction(p, q)
+
+
+grid_values = st.lists(st.integers(-9, 9), min_size=1, max_size=30)
+
+
+class TestNaiveReference:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-5, 5), grid_values, orders)
+    def test_sums(self, a, values, nu):
+        f = GridFunction(a, tuple(values))
+        ff = f.as_float()
+        grid = frac_sum_grid(f, a, nu)
+        fgrid = frac_sum_grid(ff, a, nu)
+        for k in range(len(values)):
+            want = naive_sum(nu, f.values, k)
+            assert frac_sum(f, a, nu, a + k) == want
+            assert grid.at(a + k) == want
+            assert delta_frac_sum(f, a, nu, k) == want
+            fwant = ascending_float_sum(nu, ff.values, k)
+            assert frac_sum(ff, a, nu, a + k) == fwant
+            assert fgrid.at(a + k) == fwant
+            assert delta_frac_sum(ff, a, nu, k) == fwant
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-5, 5), fractional_orders(), st.data())
+    def test_caputo(self, a, mu, data):
+        m = math.ceil(mu)
+        values = data.draw(st.lists(st.integers(-9, 9), min_size=m + 1, max_size=30))
+        f = GridFunction(a - m, tuple(values))
+        ff = f.as_float()
+        h = [nabla(f, s, m) for s in range(a, f.hi + 1)]
+        fh = [nabla(ff, s, m) for s in range(a, f.hi + 1)]
+        grid = caputo_nabla_grid(f, a, mu)
+        fgrid = caputo_nabla_grid(ff, a, mu)
+        for k in range(len(h)):
+            want = naive_sum(m - mu, h, k)
+            assert caputo_nabla(f, a, mu, a + k) == want
+            assert grid.at(a + k) == want
+            fwant = ascending_float_sum(m - mu, fh, k)
+            assert caputo_nabla(ff, a, mu, a + k) == fwant
+            assert fgrid.at(a + k) == fwant
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-5, 5), fractional_orders(), st.data())
+    def test_taylor(self, a, mu, data):
+        m = math.ceil(mu)
+        p = data.draw(st.integers(0, m - 1))
+        values = data.draw(st.lists(st.integers(-9, 9), min_size=2 * m, max_size=30))
+        f = GridFunction(a - m + 1, tuple(values))
+        for backend, g in ((Backend.EXACT, f), (Backend.FLOAT, f.as_float())):
+            initials = [nabla(g, a, k) for k in range(m)]
+            h = [nabla(g, s, m) for s in range(a + 1, g.hi + 1)]
+            seed = taylor_seed_of(g, a, m)
+            series = taylor_fractional_series(g, a, mu)
+            shifted_series = taylor_extended_series(g, a, mu, p) if a >= 0 else {}
+            for t in range(a + m, g.hi + 1):
+                n = t - a
+                cap = caputo_nabla_grid(g, a + 1, mu, hi=t).values
+                poly = poly_reference(initials, 0, n, backend)
+                if backend is Backend.EXACT:
+                    rem_mu = naive_sum(mu, cap, n - 1)
+                    rem_int = naive_sum(Fraction(m), h, n - 1)
+                    direct = poly + rem_int
+                else:
+                    rem_mu = ascending_float_sum(mu, cap, n - 1)
+                    rem_int = ascending_float_sum(Fraction(m), h, n - 1)
+                    direct = ascending_float_sum(Fraction(m), h, n - 1, poly)
+                plain = taylor_fractional(g, a, mu, t)
+                assert (plain.poly_part, plain.remainder) == (poly, rem_mu)
+                assert plain.total == poly + rem_mu
+                assert series[t] == plain
+                integer = taylor_integer(g, a, m, t)
+                assert (integer.poly_part, integer.remainder) == (poly, rem_int)
+                assert integer.total == poly + rem_int
+                assert eval_from_taylor_data(seed, t) == direct
+                if a >= 0:
+                    shifted = taylor_extended(g, a, mu, p, t)
+                    reference = naive_sum if backend is Backend.EXACT else ascending_float_sum
+                    assert shifted.poly_part == poly_reference(initials, p, n, backend)
+                    assert shifted.remainder == reference(mu - p, cap, n - 1)
+                    assert shifted.total == nabla(g, t, p)
+                    assert shifted_series[t] == shifted

@@ -96,6 +96,24 @@ class TestGridJson:
         with pytest.raises(ParseError):
             read_grid_json(io.StringIO('{"values": [1, 2]}'))
 
+    @pytest.mark.parametrize("values", ["5", '"123"', '{"1": 2}', "null"])
+    def test_values_must_be_a_list(self, values):
+        for backend in Backend:
+            with pytest.raises(ParseError):
+                read_grid_json(io.StringIO('{"lo": 0, "values": %s}' % values), backend)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["NaN", "Infinity", "-Infinity", "1e400", '"1e400"', pytest.param("1" + "0" * 400, id="huge-int")],
+    )
+    def test_float_values_must_be_finite(self, value):
+        with pytest.raises(ParseError):
+            read_grid_json(io.StringIO('{"lo": 0, "values": [1, %s]}' % value), Backend.FLOAT)
+
+    def test_csv_values_must_be_finite(self):
+        with pytest.raises(ParseError, match="line 3"):
+            read_grid_csv(io.StringIO("t,value\n0,1\n1,1e400\n"), Backend.FLOAT)
+
     def test_dispatcher_by_extension_and_format(self, tmp_path):
         f = GridFunction(0, (Fraction(1), Fraction(2)))
         csv_path = tmp_path / "g.csv"
@@ -344,6 +362,14 @@ class TestCli:
 
     def test_usage_error_from_argparse(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("values", ["5", '"123"', '{"1": 2}', "[1, NaN, 2]"])
+    def test_malformed_json_grid_is_exit_2(self, tmp_path, capsys, values):
+        path = tmp_path / "bad.json"
+        path.write_text('{"lo": 0, "values": %s}' % values, encoding="utf-8")
+        argv = ["eval-sum", "--input", str(path), "--a", "0", "--nu", "1/2", "--t", "0"]
+        assert main(argv + ["--backend", "float"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cli_output_deterministic(self, capsys):
         argv = ["verify", "duality", "--trials", "8", "--seed", "5", "--format", "json"]

@@ -1,0 +1,26 @@
+"""Package layout rules checked from the source tree."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "nablafrac"
+
+
+def test_library_imports_only_the_standard_library():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules, f"no modules found under {SOURCE}"
+    offenders = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert offenders == []
