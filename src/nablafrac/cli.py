@@ -165,14 +165,13 @@ def _ineq_params(args) -> dict:
 def _single_report(args):
     name = args.suite
     f = _load_grid(args)
-    gamma = parse_order(args.gamma) if args.gamma is not None else 2
-    delta = parse_order(args.delta) if args.delta is not None else 2
-    r = parse_order(args.r) if args.r is not None else 2
-    p = args.p if args.p is not None else 0
+    opts = _ineq_params(args)
+    gamma, delta, r = (opts.get(key, 2) for key in ("gamma", "delta", "r"))
+    p = opts.get("p", 0)
+    one = 1.0 if f.backend is Backend.FLOAT else Fraction(1)
     if name == "opial":
         _require(args, "a", "t", "mu")
         mu = as_order(args.mu)
-        one = 1.0 if _backend(args) is Backend.FLOAT else Fraction(1)
         params = OpialParams(
             mu=mu,
             p=p,
@@ -197,7 +196,6 @@ def _single_report(args):
     if name == "avg-sobolev":
         _require(args, "a", "b", "mu")
         mu = as_order(args.mu)
-        one = 1.0 if _backend(args) is Backend.FLOAT else Fraction(1)
         weights = [GridFunction.constant(args.a + 1, args.b, one)]
         return avg_sobolev_report(f, args.a, args.b, [mu], weights, r)
     raise UsageError(f"unknown inequality {name!r}")

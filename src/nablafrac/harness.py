@@ -29,6 +29,7 @@ from .grid import GridFunction, nabla
 from .ineq import (
     InequalityReport,
     OpialParams,
+    _verdict,
     avg_sobolev_report,
     opial_corollary_25,
     opial_report,
@@ -554,9 +555,9 @@ def run_inequality_suite(
 ) -> SuiteResult:
     """Run ``trials`` randomized bound evaluations of the named family.
 
-    A trial fails when its slack drops below ``−(abs_eps + rel_eps·|rhs|)``,
-    when the right-hand side is undefined (NaN), or when an exact squared
-    certificate is present and violated.
+    A trial fails when its report does not hold under ``policy``, decided by
+    the same rule as :attr:`InequalityReport.holds` (NaN first, then an exact
+    certificate, then the slack tolerance).
     """
     if name not in _INEQUALITY_SUITES:
         raise UsageError(
@@ -572,17 +573,9 @@ def run_inequality_suite(
         trial_seed = mix_seed(master_seed, index)
         report = trial_fn(random.Random(trial_seed), backend, params)
         slack = to_float(report.slack)
-        rhs = to_float(report.rhs)
-        bad = False
-        if math.isnan(slack) or math.isnan(rhs):
-            bad = True
-        elif slack < -(policy.abs_eps + policy.rel_eps * abs(rhs)):
-            bad = True
-        if report.components.get("exact_holds", 1) == 0:
-            bad = True
         if not math.isnan(slack):
             worst = min(worst, slack)
-        if bad:
+        if not _verdict(report.rhs, report.slack, report.components, policy):
             failures += 1
             failing.append(trial_seed)
     if math.isinf(worst):

@@ -7,7 +7,8 @@ right-hand sides, the slack ``rhs − lhs``, and every intermediate component.
 Fractional powers and roots are evaluated in floats; whenever the exponent
 combination keeps both sides rational (``gamma = delta = 2``, and ``r = 2``
 where an outer root appears), the report additionally carries exact squared
-certificates computed in big rationals.
+certificates computed in big rationals.  :func:`_make_report` writes every
+certificate and :func:`_verdict` is the one rule that decides ``holds``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BoundaryConditionError,
-    OrderError,
     ParameterError,
     WindowError,
 )
@@ -34,7 +34,7 @@ from .scalars import (
     parse_order,
     to_float,
 )
-from .taylor import _check_extended_args, sum_rising_closed_form
+from .taylor import _check_base, _check_extended_args, _check_shift, sum_rising_closed_form
 
 __all__ = [
     "InequalityReport",
@@ -87,6 +87,15 @@ def _root(x: Scalar, e: Exponent) -> Scalar:
     return v ** (1.0 / float(e))
 
 
+def _power_sum(values: Iterable[Scalar], e: Exponent) -> Scalar:
+    """``Σ v^e`` over a non-empty sequence, added in order from the first term."""
+    terms = iter(values)
+    acc = _pow(next(terms), e)
+    for v in terms:
+        acc = acc + _pow(v, e)
+    return acc
+
+
 def _mul(x: Scalar, y: Scalar) -> Scalar:
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x * y
@@ -136,7 +145,13 @@ def _fmt_param(value) -> Union[str, int, float]:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One evaluated bound: ``slack = rhs − lhs``; ``holds`` per tolerance."""
+    """One evaluated bound: ``slack = rhs − lhs``.
+
+    ``holds`` follows the one verdict rule of :func:`_verdict`: a NaN ``rhs``
+    or ``slack`` fails; otherwise an ``exact_holds`` certificate in
+    ``components`` decides; otherwise the bound holds when
+    ``slack ≥ −(abs_eps + rel_eps·|rhs|)``.
+    """
 
     name: str
     params: dict
@@ -147,6 +162,18 @@ class InequalityReport:
     components: dict
 
 
+def _verdict(rhs: Scalar, slack: Scalar, components: dict, policy: TolerancePolicy) -> bool:
+    """Whether a bound holds; the only place that decides it.  In order: a NaN
+    ``rhs`` or ``slack`` fails, an ``exact_holds`` certificate decides, and
+    otherwise ``slack ≥ −(abs_eps + rel_eps·|rhs|)``."""
+    rhs_f, slack_f = to_float(rhs), to_float(slack)
+    if math.isnan(rhs_f) or math.isnan(slack_f):
+        return False
+    if "exact_holds" in components:
+        return components["exact_holds"] == 1
+    return slack_f >= -(policy.abs_eps + policy.rel_eps * abs(rhs_f))
+
+
 def _make_report(
     name: str,
     params: dict,
@@ -154,13 +181,21 @@ def _make_report(
     rhs: Scalar,
     components: dict,
     policy: TolerancePolicy,
+    squared: Optional[Tuple[Scalar, Scalar]] = None,
 ) -> InequalityReport:
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-        slack: Scalar = rhs - lhs
-        holds = slack >= -policy.abs_eps
-    else:
-        slack = to_float(rhs) - to_float(lhs)
-        holds = (not math.isnan(slack)) and slack >= -policy.abs_eps
+    """Slack, exact certificate and verdict of one bound.  ``squared =
+    (lhs², rhs²)`` certifies when both are rational; otherwise rational
+    ``lhs`` and ``rhs`` are compared directly."""
+    exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+    if squared is not None and all(isinstance(v, Fraction) for v in squared):
+        lhs_sq, rhs_sq = squared
+        components.update(
+            lhs_squared=lhs_sq, rhs_squared=rhs_sq, exact_holds=1 if lhs_sq <= rhs_sq else 0
+        )
+    elif exact:
+        components["exact_holds"] = 1 if lhs <= rhs else 0
+    slack: Scalar = rhs - lhs if exact else to_float(rhs) - to_float(lhs)
+    holds = _verdict(rhs, slack, components, policy)
     return InequalityReport(
         name=name, params=params, lhs=lhs, rhs=rhs, slack=slack, holds=holds, components=components
     )
@@ -211,10 +246,7 @@ class OpialParams:
         object.__setattr__(self, "delta", as_exponent(self.delta))
         if self.mu.value <= 2 or self.mu.m < 3:
             raise ParameterError(f"order must exceed 2 (ceiling >= 3), got {self.mu.value}")
-        if not isinstance(self.p, int) or self.p < 0:
-            raise ParameterError(f"shift p must be a non-negative integer, got {self.p!r}")
-        if self.p >= self.mu.value:
-            raise OrderError(f"shift p={self.p} must be smaller than the order {self.mu.value}")
+        _check_shift(self.mu, self.p)
         _check_conjugate(self.gamma, self.delta, DEFAULT_TOLERANCE)
         for tau in self.inner_weights.domain.points():
             if not self.inner_weights.at(tau) > 0:
@@ -238,8 +270,7 @@ def opial_report(
         raise ParameterError(f"unknown g-bound variant {g_variant!r}")
     mu, p = params.mu, params.p
     m = mu.m
-    if a < 0:
-        raise ParameterError(f"base must be non-negative, got a={a}")
+    _check_base(a)
     if t < a + m:
         raise WindowError(f"evaluation point must satisfy t >= a+m = {a + m}, got t={t}")
     C, D = params.inner_weights, params.outer_weights
@@ -292,19 +323,6 @@ def opial_report(
         "k_factor": to_float(k_factor),
         "max_caputo": max(to_float(abs(cap.at(tau))) for tau in range(a + 1, t + 1)),
     }
-    if (
-        backend is Backend.EXACT
-        and gamma == 2
-        and delta == 2
-        and isinstance(k_pow, Fraction)
-        and isinstance(chosen, Fraction)
-        and isinstance(lhs, Fraction)
-    ):
-        lhs_sq = lhs * lhs
-        rhs_sq = k_pow * chosen
-        components["lhs_squared"] = lhs_sq
-        components["rhs_squared"] = rhs_sq
-        components["exact_holds"] = 1 if lhs_sq <= rhs_sq else 0
     params_echo = {
         "a": a,
         "t": t,
@@ -314,7 +332,8 @@ def opial_report(
         "delta": _fmt_param(delta),
         "g_variant": g_variant,
     }
-    return _make_report("opial", params_echo, lhs, rhs, components, policy)
+    squared = (lhs * lhs, k_pow * chosen) if gamma == delta == 2 else None
+    return _make_report("opial", params_echo, lhs, rhs, components, policy, squared)
 
 
 def opial_corollary_25(
@@ -387,8 +406,6 @@ def ostrowski_report(
         "coefficient": to_float(coefficient),
         "max_caputo": to_float(max_cap),
     }
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-        components["exact_holds"] = 1 if lhs <= rhs else 0
     params_echo = {"a": a, "b": b, "mu": _fmt_param(mu), "p": p}
     return _make_report("ostrowski", params_echo, lhs, rhs, components, policy)
 
@@ -406,15 +423,67 @@ def _kernel_power_sums(
     if b < a + m_start:
         raise WindowError(f"kernel power sum needs b >= a+m = {a + m_start}, got b={b}")
     w = kernel_weights(order, b - a, backend)
-    inner_zero: Scalar = Fraction(0) if backend is Backend.EXACT and _is_integral(gamma) else 0.0
-    acc = None
-    for j in range(a + m_start, b + 1):
-        inner = inner_zero
-        for tau in range(a + 1, j + 1):
-            inner = inner + _pow(w[j - tau], gamma)
-        term = _pow(inner, outer_exp)
-        acc = term if acc is None else acc + term
-    return acc
+    # w(j−τ+1) for τ = a+1 .. j is w[j−a−1], …, w[0]
+    inner = (_power_sum(w[j - a - 1::-1], gamma) for j in range(a + m_start, b + 1))
+    return _power_sum(inner, outer_exp)
+
+
+def _norm_report(
+    f: GridFunction,
+    a: int,
+    b: int,
+    mu: OrderInput,
+    p: int,
+    gamma,
+    delta,
+    r,
+    policy: TolerancePolicy,
+) -> InequalityReport:
+    """Core of the norm bounds.  Sobolev type: ``(Σ|∇^p f|^r)^{1/r}`` against
+    ``K^{1/r}·(Σ|Caputo|^δ)^{1/δ}`` with the kernel power sum ``K`` of outer
+    exponent ``r/γ``.  ``r=None`` is the Poincaré type: ``r = δ``, no roots."""
+    mu = as_order(mu).require_non_integer("norm bound")
+    m = mu.m
+    gamma = as_exponent(gamma)
+    delta = as_exponent(delta)
+    poincare = r is None
+    r = delta if poincare else as_exponent(r)
+    _check_conjugate(gamma, delta, policy)
+    if r < 1:
+        raise ParameterError(f"norm exponent r must be >= 1, got {r}")
+    _check_extended_args(a, mu, p)
+    if b < a + m:
+        raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
+    f.require_window(a - m + 1, b)
+    _require_zero_initials(f, a, range(p, m), policy, "norm bound")
+
+    lhs_pow = _power_sum((abs(nabla(f, j, p)) for j in range(a + m, b + 1)), r)
+    kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, _div(r, gamma), f.backend)
+    cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
+    cap_abs = [abs(cap.at(tau)) for tau in range(a + 1, b + 1)]
+    caputo_norm = _power_sum(cap_abs, delta)
+
+    components: Dict[str, object] = {
+        "kernel_factor": to_float(kernel_factor),
+        "caputo_norm": to_float(caputo_norm),
+        "max_caputo": max(to_float(v) for v in cap_abs),
+    }
+    params_echo = {
+        "a": a,
+        "b": b,
+        "mu": _fmt_param(mu),
+        "p": p,
+        "gamma": _fmt_param(gamma),
+        "delta": _fmt_param(delta),
+    }
+    if poincare:
+        rhs = _mul(kernel_factor, caputo_norm)
+        return _make_report("poincare", params_echo, lhs_pow, rhs, components, policy)
+    params_echo["r"] = _fmt_param(r)
+    lhs = _root(lhs_pow, r)
+    rhs = _mul(_root(kernel_factor, r), _root(caputo_norm, delta))
+    squared = (lhs_pow, kernel_factor * caputo_norm) if gamma == delta == r == 2 else None
+    return _make_report("sobolev", params_echo, lhs, rhs, components, policy, squared)
 
 
 def poincare_report(
@@ -429,48 +498,7 @@ def poincare_report(
 ) -> InequalityReport:
     """δ-power norm of ``∇^p f`` against the kernel-mass factor times the
     δ-power norm of the Caputo-like difference."""
-    mu = as_order(mu).require_non_integer("norm bound")
-    m = mu.m
-    gamma = as_exponent(gamma)
-    delta = as_exponent(delta)
-    _check_conjugate(gamma, delta, policy)
-    _check_extended_args(a, mu, p)
-    if b < a + m:
-        raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
-    f.require_window(a - m + 1, b)
-    _require_zero_initials(f, a, range(p, m), policy, "norm bound")
-    backend = f.backend
-
-    kernel_factor = _kernel_power_sums(
-        mu.value - p, a, m, b, gamma, _div(delta, gamma), backend
-    )
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
-    caputo_norm = None
-    for tau in range(a + 1, b + 1):
-        term = _pow(abs(cap.at(tau)), delta)
-        caputo_norm = term if caputo_norm is None else caputo_norm + term
-    lhs = None
-    for j in range(a + m, b + 1):
-        term = _pow(abs(nabla(f, j, p)), delta)
-        lhs = term if lhs is None else lhs + term
-    rhs = _mul(kernel_factor, caputo_norm)
-
-    components: Dict[str, object] = {
-        "kernel_factor": to_float(kernel_factor),
-        "caputo_norm": to_float(caputo_norm),
-        "max_caputo": max(to_float(abs(cap.at(tau))) for tau in range(a + 1, b + 1)),
-    }
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-        components["exact_holds"] = 1 if lhs <= rhs else 0
-    params_echo = {
-        "a": a,
-        "b": b,
-        "mu": _fmt_param(mu),
-        "p": p,
-        "gamma": _fmt_param(gamma),
-        "delta": _fmt_param(delta),
-    }
-    return _make_report("poincare", params_echo, lhs, rhs, components, policy)
+    return _norm_report(f, a, b, mu, p, gamma, delta, None, policy)
 
 
 def sobolev_report(
@@ -485,61 +513,7 @@ def sobolev_report(
     policy: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> InequalityReport:
     """r-norm of ``∇^p f`` against the mixed kernel/Caputo norm bound."""
-    mu = as_order(mu).require_non_integer("norm bound")
-    m = mu.m
-    gamma = as_exponent(gamma)
-    delta = as_exponent(delta)
-    r = as_exponent(r)
-    _check_conjugate(gamma, delta, policy)
-    if r < 1:
-        raise ParameterError(f"norm exponent r must be >= 1, got {r}")
-    _check_extended_args(a, mu, p)
-    if b < a + m:
-        raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
-    f.require_window(a - m + 1, b)
-    _require_zero_initials(f, a, range(p, m), policy, "norm bound")
-    backend = f.backend
-
-    lhs_pow = None
-    for j in range(a + m, b + 1):
-        term = _pow(abs(nabla(f, j, p)), r)
-        lhs_pow = term if lhs_pow is None else lhs_pow + term
-    lhs = _root(lhs_pow, r)
-
-    kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, _div(r, gamma), backend)
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
-    caputo_norm = None
-    for tau in range(a + 1, b + 1):
-        term = _pow(abs(cap.at(tau)), delta)
-        caputo_norm = term if caputo_norm is None else caputo_norm + term
-    rhs = _mul(_root(kernel_factor, r), _root(caputo_norm, delta))
-
-    components: Dict[str, object] = {
-        "kernel_factor": to_float(kernel_factor),
-        "caputo_norm": to_float(caputo_norm),
-        "max_caputo": max(to_float(abs(cap.at(tau))) for tau in range(a + 1, b + 1)),
-    }
-    if (
-        gamma == 2
-        and delta == 2
-        and r == 2
-        and isinstance(lhs_pow, Fraction)
-        and isinstance(kernel_factor, Fraction)
-        and isinstance(caputo_norm, Fraction)
-    ):
-        components["lhs_squared"] = lhs_pow
-        components["rhs_squared"] = kernel_factor * caputo_norm
-        components["exact_holds"] = 1 if lhs_pow <= kernel_factor * caputo_norm else 0
-    params_echo = {
-        "a": a,
-        "b": b,
-        "mu": _fmt_param(mu),
-        "p": p,
-        "gamma": _fmt_param(gamma),
-        "delta": _fmt_param(delta),
-        "r": _fmt_param(r),
-    }
-    return _make_report("sobolev", params_echo, lhs, rhs, components, policy)
+    return _norm_report(f, a, b, mu, p, gamma, delta, r, policy)
 
 
 def avg_sobolev_report(
@@ -566,8 +540,7 @@ def avg_sobolev_report(
         raise ParameterError(f"norm exponent r must be >= 1, got {r}")
     k = len(orders)
     m_top = orders[-1].m
-    if a < 0:
-        raise ParameterError(f"base must be non-negative, got a={a}")
+    _check_base(a)
     if b <= a + m_top:
         raise WindowError(f"averaged bound needs b > a+m = {a + m_top}, got b={b}")
     f.require_window(a - m_top + 1, b)
@@ -602,10 +575,7 @@ def avg_sobolev_report(
         for tau in range(a + 1, b + 1)
     )
 
-    lhs_pow = None
-    for j in range(a + m_top, b + 1):
-        term = _pow(abs(f.at(j)), r)
-        lhs_pow = term if lhs_pow is None else lhs_pow + term
+    lhs_pow = _power_sum((abs(f.at(j)) for j in range(a + m_top, b + 1)), r)
     lhs = _root(lhs_pow, r)
 
     mean_b = sum(b_terms[1:], b_terms[0]) / k
@@ -617,10 +587,6 @@ def avg_sobolev_report(
         "delta_star": to_float(delta_star),
         "rho_star": to_float(rho_star),
     }
-    if r == 2 and isinstance(lhs_pow, Fraction) and isinstance(rhs_sq, Fraction):
-        components["lhs_squared"] = lhs_pow
-        components["rhs_squared"] = rhs_sq
-        components["exact_holds"] = 1 if lhs_pow <= rhs_sq else 0
     params_echo = {
         "a": a,
         "b": b,
@@ -628,4 +594,5 @@ def avg_sobolev_report(
         "r": _fmt_param(r),
         "k": k,
     }
-    return _make_report("avg-sobolev", params_echo, lhs, rhs, components, policy)
+    squared = (lhs_pow, rhs_sq) if r == 2 else None
+    return _make_report("avg-sobolev", params_echo, lhs, rhs, components, policy, squared)

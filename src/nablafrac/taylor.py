@@ -127,15 +127,25 @@ def taylor_fractional_series(
     }
 
 
-def _check_extended_args(a: int, mu: FractionalOrder, p: int) -> None:
-    """Base and shift checks shared by the extended expansion and the bounds
-    built on it: ``a ≥ 0`` and an integer ``0 ≤ p < μ``."""
+def _check_base(a: int) -> None:
+    """Base check shared by the extended expansion and the bounds: ``a ≥ 0``."""
     if a < 0:
         raise ParameterError(f"base must be non-negative, got a={a}")
+
+
+def _check_shift(mu: FractionalOrder, p: int) -> None:
+    """Shift check shared by the extended expansion and the bounds: an integer
+    ``0 ≤ p < μ``."""
     if not isinstance(p, int) or p < 0:
         raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
     if p >= mu.value:
         raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
+
+
+def _check_extended_args(a: int, mu: FractionalOrder, p: int) -> None:
+    """Base check, then shift check."""
+    _check_base(a)
+    _check_shift(mu, p)
 
 
 def taylor_extended(f: GridFunction, a: int, mu: OrderInput, p: int, t: int) -> TaylorExpansion:

@@ -1,5 +1,6 @@
 """Inequality evaluator tests: anchors, boundary checks, slack properties."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,11 +21,14 @@ from nablafrac import (
     construct_from_taylor_data,
     g_bound,
     gen_function,
+    mix_seed,
     normalized_rising,
     opial_corollary_25,
     opial_report,
     ostrowski_report,
     poincare_report,
+    replay_inequality_trial,
+    run_inequality_suite,
     scalar_close,
     sobolev_report,
 )
@@ -402,6 +406,67 @@ class TestAvgSobolev:
         f = admissible(79, 0, 3, 9, k0=0)
         with pytest.raises(WindowError):
             avg_sobolev_report(f, 0, 3, [FIVE_HALVES], [unit_weights(1, 9)])
+
+
+def tight_opial_trial_73():
+    """Trial 73 of the tight weighted-product suite at master seed 42
+    (exact backend: slack about -20.9, rhs about 390.4, certificate 0)."""
+    f = construct_from_taylor_data(TaylorSeed(a=0, m=3, initial=(0, 0, 0), h=(3, 1, 2, -1)))
+    params = OpialParams(
+        mu=Fraction(9, 4),
+        p=0,
+        gamma=2,
+        delta=2,
+        inner_weights=GridFunction(1, (Fraction(5, 7), Fraction(5, 4), Fraction(6, 7), Fraction(1, 2))),
+        outer_weights=GridFunction(3, (Fraction(2), Fraction(8, 5))),
+    )
+    return f, params
+
+
+class TestVerdict:
+    """One rule decides ``holds``: NaN fails, then the exact certificate, then
+    the slack tolerance; the suites apply the same rule."""
+
+    def test_certificate_outranks_a_wide_tolerance(self):
+        f, params = tight_opial_trial_73()
+        report = opial_report(f, 0, 4, params, "tight", TolerancePolicy(abs_eps=25.0))
+        assert math.isfinite(report.rhs) and -25.0 < report.slack < 0
+        assert report.components["exact_holds"] == 0
+        assert report.holds is False
+
+    def test_float_report_agrees_with_the_suite(self):
+        f, params = tight_opial_trial_73()
+        params = dataclasses.replace(
+            params,
+            inner_weights=params.inner_weights.as_float(),
+            outer_weights=params.outer_weights.as_float(),
+        )
+        policy = TolerancePolicy(rel_eps=0.1)
+        report = opial_report(f.as_float(), 0, 4, params, "tight", policy)
+        seed = mix_seed(42, 73)
+        assert report.slack == replay_inequality_trial("opial", seed, Backend.FLOAT, g_variant="tight").slack
+        assert "exact_holds" not in report.components
+        assert -0.1 * report.rhs < report.slack < 0
+        suite = run_inequality_suite("opial", 74, 42, Backend.FLOAT, policy, g_variant="tight")
+        assert report.holds is (seed not in suite.failing_seeds)
+        assert report.holds is True
+
+    def test_nan_rhs_fails_despite_certificate(self):
+        # zero outer weights give rhs² = 0 >= lhs² = 0, but the tight g-bound
+        # is negative, so its square root and rhs are NaN
+        f = construct_from_taylor_data(TaylorSeed(a=3, m=3, initial=(0, 0, 0), h=(4, 4, -5, -9)))
+        params = OpialParams(
+            mu=FIVE_HALVES,
+            p=0,
+            gamma=2,
+            delta=2,
+            inner_weights=GridFunction(4, (Fraction(1, 3), Fraction(2), Fraction(1))),
+            outer_weights=GridFunction(6, (Fraction(0),)),
+        )
+        report = opial_report(f, 3, 6, params, "tight")
+        assert math.isnan(report.rhs)
+        assert report.components["exact_holds"] == 1
+        assert report.holds is False
 
 
 def raw_rising(n, alpha):

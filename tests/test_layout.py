@@ -24,3 +24,15 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     offenders.append(f"{path.name}:{node.lineno} imports {name}")
     assert offenders == []
+
+
+def test_suites_and_cli_carry_no_verdict_rule():
+    # holds/fails is decided in ineq.py alone; a tolerance or certificate
+    # lookup here would be a second rule that can disagree with it
+    offenders = []
+    for name in ("harness.py", "cli.py"):
+        text = (SOURCE / name).read_text(encoding="utf-8")
+        for word in ("abs_eps", "rel_eps", "exact_holds"):
+            if word in text:
+                offenders.append(f"{name} mentions {word}")
+    assert offenders == []
