@@ -99,18 +99,11 @@ def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
     row = _KERNEL_CACHE.get(key, ())
     if len(row) >= length:
         return row[:length]
-    ws = list(row)
-    if not ws:
-        ws.append(Fraction(1) if backend is Backend.EXACT else 1.0)
-    if backend is Backend.EXACT:
-        while len(ws) < length:
-            n = len(ws)
-            ws.append(ws[-1] * (nu + n - 1) / n)
-    else:
-        nu_f = float(nu)
-        while len(ws) < length:
-            n = len(ws)
-            ws.append(ws[-1] * (nu_f + n - 1.0) / n)
+    step, one = (nu, Fraction(1)) if backend is Backend.EXACT else (float(nu), 1.0)
+    ws = list(row) or [one]
+    while len(ws) < length:
+        n = len(ws)
+        ws.append(ws[-1] * (step + n - 1) / n)
     full = tuple(ws)
     _KERNEL_CACHE[key] = full
     return full[:length]

@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Tuple
 
 from .errors import ParameterError, UsageError
@@ -162,22 +164,24 @@ class SuiteResult:
 # random draws
 
 
-def _random_grid(rng: random.Random, lo: int, hi: int, bound: int = 9) -> GridFunction:
-    return GridFunction(lo, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(lo, hi + 1)))
+_VALUE_BOUND = 9  # drawn grid values and m-th differences lie in [-9, 9]
+_MAX_DEN = 8  # largest denominator of a drawn order or parameter
+
+
+def _random_grid(rng: random.Random, lo: int, hi: int) -> GridFunction:
+    return GridFunction(
+        lo, tuple(Fraction(rng.randint(-_VALUE_BOUND, _VALUE_BOUND)) for _ in range(lo, hi + 1))
+    )
 
 
 def _draw_fraction(
-    rng: random.Random,
-    lo: Fraction,
-    hi: Fraction,
-    max_den: int = 8,
-    non_integer: bool = False,
+    rng: random.Random, lo: Fraction, hi: Fraction, non_integer: bool = False
 ) -> Fraction:
-    """Uniform-ish rational in (lo, hi] with denominator at most ``max_den``."""
+    """Uniform-ish rational in (lo, hi] with denominator at most ``_MAX_DEN``."""
     lo = Fraction(lo)
     hi = Fraction(hi)
     while True:
-        den = rng.randint(1, max_den)
+        den = rng.randint(1, _MAX_DEN)
         num_lo = math.floor(lo * den) + 1
         num_hi = math.floor(hi * den)
         if num_hi < num_lo:
@@ -190,9 +194,9 @@ def _draw_fraction(
         return q
 
 
-def _draw_order_with_ceiling(rng: random.Random, m: int, max_den: int = 8) -> Fraction:
+def _draw_order_with_ceiling(rng: random.Random, m: int) -> Fraction:
     """Non-integer rational in (m−1, m)."""
-    den = rng.randint(2, max_den)
+    den = rng.randint(2, _MAX_DEN)
     num = rng.randint((m - 1) * den + 1, m * den - 1)
     return Fraction(num, den)
 
@@ -341,8 +345,7 @@ def _trial_kernel_closed_form(rng: random.Random, backend: Backend) -> List[Pair
     mu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
     n = rng.randint(1, 50)
     closed = kernel_sum_closed_form(a, mu, a + n, backend)
-    row = kernel_weights(mu, n, backend)
-    direct = sum(row[1:], row[0])
+    direct = reduce(add, kernel_weights(mu, n, backend))
     return [(closed, direct)]
 
 
@@ -352,11 +355,8 @@ def _trial_rising_sum(rng: random.Random, backend: Backend) -> List[Pair]:
     b = a + m + rng.randint(1, 20)
     nu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
     closed = sum_rising_closed_form(a, m, b, nu, backend)
-    row = kernel_weights(nu + 1, b - a, backend)
-    direct = None
-    for j in range(a + m + 1, b + 1):
-        term = row[j - a - 1]
-        direct = term if direct is None else direct + term
+    # w(j−a) for j = a+m+1 .. b
+    direct = reduce(add, kernel_weights(nu + 1, b - a, backend)[m:])
     return [(closed, direct)]
 
 
@@ -427,12 +427,10 @@ def run_identity_suite(
 # inequality suites: each trial returns a report
 
 
-def _spec_function(
-    rng: random.Random, a: int, m: int, hi: int, k0: int, bound: int = 9
-) -> GridFunction:
+def _spec_function(rng: random.Random, a: int, m: int, hi: int, k0: int) -> GridFunction:
     b = max(hi, a + m + 1)
     spec = FunctionSpec(
-        a=a, m=m, b=b, zero_initials_from=k0, value_range=bound, seed=rng.getrandbits(64)
+        a=a, m=m, b=b, zero_initials_from=k0, value_range=_VALUE_BOUND, seed=rng.getrandbits(64)
     )
     return gen_function(spec)
 

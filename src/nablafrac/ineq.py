@@ -4,11 +4,17 @@ and the averaged multi-order Sobolev variant.
 
 Each evaluator returns an :class:`InequalityReport` carrying the left- and
 right-hand sides, the slack ``rhs − lhs``, and every intermediate component.
-Fractional powers and roots are evaluated in floats; whenever the exponent
-combination keeps both sides rational (``gamma = delta = 2``, and ``r = 2``
-where an outer root appears), the report additionally carries exact squared
-certificates computed in big rationals.  :func:`_make_report` writes every
-certificate and :func:`_verdict` is the one rule that decides ``holds``.
+Both backends share one arithmetic path and Python's numeric tower picks the
+type: integral powers of rationals stay exact, fractional powers and roots are
+floats, and a ``Fraction`` that meets a ``float`` is converted with ``float()``.
+Every multi-term sum adds left to right in ascending index order
+(``reduce``/``accumulate``, never the builtin ``sum``, whose float algorithm
+changed in Python 3.12), so float results do not depend on the interpreter.
+Whenever the exponent combination keeps both sides rational (``gamma = delta
+= 2``, and ``r = 2`` where an outer root appears), the report additionally
+carries exact squared certificates computed in big rationals.
+:func:`_make_report` writes every certificate and :func:`_verdict` is the one
+rule that decides ``holds``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -66,20 +75,9 @@ def as_exponent(value) -> Exponent:
     raise ParameterError(f"unsupported exponent type {type(value).__name__}")
 
 
-def _is_integral(e: Exponent) -> bool:
-    return isinstance(e, Fraction) and e.denominator == 1
-
-
-def _pow(base: Scalar, e: Exponent) -> Scalar:
-    """``base**e``; exact when the exponent is an integer, float otherwise."""
-    if _is_integral(e):
-        return base ** int(e)
-    return float(base) ** float(e)
-
-
 def _root(x: Scalar, e: Exponent) -> Scalar:
     """``x**(1/e)``; identity for e = 1, float (NaN below zero) otherwise."""
-    if _is_integral(e) and int(e) == 1:
+    if e == 1:
         return x
     v = float(x)
     if v < 0.0:
@@ -88,24 +86,10 @@ def _root(x: Scalar, e: Exponent) -> Scalar:
 
 
 def _power_sum(values: Iterable[Scalar], e: Exponent) -> Scalar:
-    """``Σ v^e`` over a non-empty sequence, added in order from the first term."""
-    terms = iter(values)
-    acc = _pow(next(terms), e)
-    for v in terms:
-        acc = acc + _pow(v, e)
-    return acc
-
-
-def _mul(x: Scalar, y: Scalar) -> Scalar:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    return float(x) * float(y)
-
-
-def _div(x: Exponent, y: Exponent) -> Exponent:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x / y
-    return float(x) / float(y)
+    """``Σ v^e`` over a non-empty sequence, added left to right from the first
+    term.  ``v ** e`` is exact for a rational ``v`` and an integral ``e`` and
+    a float otherwise."""
+    return reduce(add, (v**e for v in values))
 
 
 def _check_conjugate(gamma: Exponent, delta: Exponent, policy: TolerancePolicy) -> None:
@@ -194,7 +178,7 @@ def _make_report(
         )
     elif exact:
         components["exact_holds"] = 1 if lhs <= rhs else 0
-    slack: Scalar = rhs - lhs if exact else to_float(rhs) - to_float(lhs)
+    slack = rhs - lhs
     holds = _verdict(rhs, slack, components, policy)
     return InequalityReport(
         name=name, params=params, lhs=lhs, rhs=rhs, slack=slack, holds=holds, components=components
@@ -281,38 +265,26 @@ def opial_report(
     f.require_window(a - m + 1, t)
     _require_zero_initials(f, a, range(p, m), policy, "weighted-product bound")
     gamma, delta = params.gamma, params.delta
-    backend = f.backend
 
     cap = caputo_nabla_grid(f, a + 1, mu, hi=t)
-    w = kernel_weights(mu.value - p, t - a, backend)
+    w = kernel_weights(mu.value - p, t - a, f.backend)
+    span, window = range(a + 1, t + 1), range(a + m, t + 1)
 
-    g_vals: List[Scalar] = []
-    acc: Scalar = Fraction(0) if _is_integral(delta) and backend is Backend.EXACT else 0.0
-    for tau in range(a + 1, t + 1):
-        acc = acc + _pow(C.at(tau) * abs(cap.at(tau)), delta)
-        g_vals.append(acc)
+    g_vals = list(accumulate((C.at(tau) * abs(cap.at(tau))) ** delta for tau in span))
     g = GridFunction(a + 1, tuple(g_vals))
-
-    theta_pow: List[Scalar] = []
-    for tp in range(a + m, t + 1):
-        s = f.zero() if _is_integral(gamma) else 0.0
-        for tau in range(a + 1, tp + 1):
-            s = s + _pow(w[tp - tau] / C.at(tau), gamma)
-        theta_pow.append(s)
-
-    k_pow = f.zero() if _is_integral(gamma) else 0.0
-    for idx, tp in enumerate(range(a + m, t + 1)):
-        k_pow = k_pow + _mul(_pow(D.at(tp) / C.at(tp), gamma), theta_pow[idx])
+    theta_pow = [
+        _power_sum((w[tp - tau] / C.at(tau) for tau in range(a + 1, tp + 1)), gamma) for tp in window
+    ]
+    k_terms = ((D.at(tp) / C.at(tp)) ** gamma * s for tp, s in zip(window, theta_pow))
+    k_pow = reduce(add, k_terms, f.zero())
     k_factor = _root(k_pow, gamma)
-
-    lhs = f.zero()
-    for tp in range(a + m, t + 1):
-        lhs = lhs + D.at(tp) * abs(nabla(f, tp, p)) * abs(cap.at(tp))
+    lhs_terms = (D.at(tp) * abs(nabla(f, tp, p)) * abs(cap.at(tp)) for tp in window)
+    lhs = reduce(add, lhs_terms, f.zero())
 
     bound_paper = g_bound(g, a, m, t, "paper")
     bound_tight = g_bound(g, a, m, t, "tight")
     chosen = bound_paper if g_variant == "paper" else bound_tight
-    rhs = _mul(k_factor, _root(chosen, delta))
+    rhs = k_factor * _root(chosen, delta)
 
     gamma_norm = math.gamma(float(mu.value - p))
     components: Dict[str, object] = {
@@ -321,7 +293,7 @@ def opial_report(
         "g_bound_paper": to_float(bound_paper),
         "g_bound_tight": to_float(bound_tight),
         "k_factor": to_float(k_factor),
-        "max_caputo": max(to_float(abs(cap.at(tau))) for tau in range(a + 1, t + 1)),
+        "max_caputo": max(to_float(abs(cap.at(tau))) for tau in span),
     }
     params_echo = {
         "a": a,
@@ -388,10 +360,7 @@ def ostrowski_report(
     _require_zero_initials(f, a, range(p + 1, m), policy, "average-deviation bound")
 
     count = b - a - m
-    total = f.zero()
-    for j in range(a + m + 1, b + 1):
-        total = total + nabla(f, j, p)
-    average = total / count
+    average = reduce(add, (nabla(f, j, p) for j in range(a + m + 1, b + 1)), f.zero()) / count
     base_value = nabla(f, a, p)
     lhs = abs(average - base_value)
 
@@ -458,7 +427,7 @@ def _norm_report(
     _require_zero_initials(f, a, range(p, m), policy, "norm bound")
 
     lhs_pow = _power_sum((abs(nabla(f, j, p)) for j in range(a + m, b + 1)), r)
-    kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, _div(r, gamma), f.backend)
+    kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, r / gamma, f.backend)
     cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
     cap_abs = [abs(cap.at(tau)) for tau in range(a + 1, b + 1)]
     caputo_norm = _power_sum(cap_abs, delta)
@@ -477,11 +446,11 @@ def _norm_report(
         "delta": _fmt_param(delta),
     }
     if poincare:
-        rhs = _mul(kernel_factor, caputo_norm)
+        rhs = kernel_factor * caputo_norm
         return _make_report("poincare", params_echo, lhs_pow, rhs, components, policy)
     params_echo["r"] = _fmt_param(r)
     lhs = _root(lhs_pow, r)
-    rhs = _mul(_root(kernel_factor, r), _root(caputo_norm, delta))
+    rhs = _root(kernel_factor, r) * _root(caputo_norm, delta)
     squared = (lhs_pow, kernel_factor * caputo_norm) if gamma == delta == r == 2 else None
     return _make_report("sobolev", params_echo, lhs, rhs, components, policy, squared)
 
@@ -555,31 +524,24 @@ def avg_sobolev_report(
                 raise ParameterError(f"weights must be positive, got {C.at(tau)} at {tau}")
 
     two = Fraction(2)
+    window = range(a + 1, b + 1)
     b_terms: List[Scalar] = []
     for order, C in zip(orders, weight_grids):
         cap = caputo_nabla_grid(f, a + 1, order, hi=b)
-        acc = f.zero()
-        for tau in range(a + 1, b + 1):
-            acc = acc + C.at(tau) * cap.at(tau) * cap.at(tau)
-        b_terms.append(acc)
+        terms = (C.at(tau) * cap.at(tau) * cap.at(tau) for tau in window)
+        b_terms.append(reduce(add, terms, f.zero()))
 
-    delta_candidates: List[Scalar] = []
-    for order in orders:
-        inner = _kernel_power_sums(order.value, a, order.m, b, two, _div(r, two), backend)
-        delta_candidates.append(_pow(inner, _div(two, r)))
-    delta_star = max(delta_candidates, key=to_float)
-
-    rho_star = max(
-        (1 / C.at(tau) if isinstance(C.at(tau), Fraction) else 1.0 / C.at(tau))
-        for C in weight_grids
-        for tau in range(a + 1, b + 1)
+    delta_star = max(
+        (_kernel_power_sums(o.value, a, o.m, b, two, r / two, backend) ** (two / r) for o in orders),
+        key=to_float,
     )
+    rho_star = max(1 / C.at(tau) for C in weight_grids for tau in window)
 
     lhs_pow = _power_sum((abs(f.at(j)) for j in range(a + m_top, b + 1)), r)
     lhs = _root(lhs_pow, r)
 
-    mean_b = sum(b_terms[1:], b_terms[0]) / k
-    rhs_sq = _mul(_mul(delta_star, rho_star), mean_b)
+    mean_b = reduce(add, b_terms) / k
+    rhs_sq = delta_star * rho_star * mean_b
     rhs = _root(rhs_sq, two)
 
     components: Dict[str, object] = {

@@ -4,7 +4,9 @@ Exact values are ``fractions.Fraction`` (plain ``int`` is accepted as exact
 and normalised on entry into containers); float values are ``float``.  The
 rest of the package keeps the two kinds apart: containers check homogeneity,
 and the only sanctioned crossings are the explicit :func:`to_float`
-conversion and the mixed comparison in :func:`scalar_close`.
+conversion, the mixed comparison in :func:`scalar_close`, and the bound
+evaluators' mixed arithmetic, where Python converts the ``Fraction`` with
+``float()``.
 
 The arithmetic core here is :func:`normalized_rising`, the gamma quotient
 ``Γ(n+ν−1) / (Γ(n)·Γ(c))``.  Whenever ``ν − c`` is an integer the quotient

@@ -18,10 +18,13 @@ from nablafrac import (
     TolerancePolicy,
     WindowError,
     avg_sobolev_report,
+    caputo_nabla_grid,
     construct_from_taylor_data,
     g_bound,
     gen_function,
+    kernel_weights,
     mix_seed,
+    nabla,
     normalized_rising,
     opial_corollary_25,
     opial_report,
@@ -647,3 +650,127 @@ class TestRawFormulaOracle:
             assert report.components["delta_star"] == pytest.approx(
                 max(candidates), rel=1e-9, abs=1e-9
             )
+
+
+def float_weights(rng, lo, hi, zero_ok=False):
+    vals = [Fraction(rng.randint(0 if zero_ok else 1, 8), rng.randint(1, 7)) for _ in range(lo, hi + 1)]
+    return GridFunction(lo, tuple(vals)).as_float()
+
+
+def root(x, e):
+    return float("nan") if x < 0 else x ** (1.0 / e)
+
+
+class TestFloatOrder:
+    """Float reports equal plain ascending loops from ``0.0``, bit for bit:
+    every sum in the evaluators adds left to right, on every Python version."""
+
+    @pytest.mark.parametrize("gamma, delta", [(2, 2), (3, Fraction(3, 2))])
+    def test_opial(self, gamma, delta):
+        rng = random.Random(11)
+        for _ in range(8):
+            mu = Fraction(rng.randint(17, 23), 8)
+            p = rng.randint(0, 2)
+            a, m = rng.randint(0, 2), 3
+            t = a + m + rng.randint(0, 8)
+            f = admissible(rng.getrandbits(63), a, m, t + 1, k0=p).as_float()
+            C = float_weights(rng, a + 1, t)
+            D = float_weights(rng, a + m, t, zero_ok=True)
+            params = OpialParams(
+                mu=mu, p=p, gamma=gamma, delta=delta, inner_weights=C, outer_weights=D
+            )
+            report = opial_report(f, a, t, params)
+
+            ge, de = float(gamma), float(delta)
+            cap = caputo_nabla_grid(f, a + 1, mu, hi=t)
+            w = kernel_weights(mu - p, t - a, Backend.FLOAT)
+            g, acc = [], 0.0
+            for tau in range(a + 1, t + 1):
+                acc += (C.at(tau) * abs(cap.at(tau))) ** de
+                g.append(acc)
+            theta_pow = []
+            for tp in range(a + m, t + 1):
+                s = 0.0
+                for tau in range(a + 1, tp + 1):
+                    s += (w[tp - tau] / C.at(tau)) ** ge
+                theta_pow.append(s)
+            k_pow = 0.0
+            for tp, s in zip(range(a + m, t + 1), theta_pow):
+                k_pow += (D.at(tp) / C.at(tp)) ** ge * s
+            k_factor = root(k_pow, ge)
+            lhs = 0.0
+            for tp in range(a + m, t + 1):
+                lhs += D.at(tp) * abs(nabla(f, tp, p)) * abs(cap.at(tp))
+            chosen = g_bound(GridFunction(a + 1, tuple(g)), a, m, t, "paper")
+
+            norm = math.gamma(float(mu - p))
+            assert report.components["g"] == g
+            assert report.components["theta"] == [root(s, ge) * norm for s in theta_pow]
+            assert report.components["k_factor"] == k_factor
+            assert report.lhs == lhs
+            assert report.rhs == k_factor * root(chosen, de)
+
+    def test_sobolev_r3(self):
+        rng = random.Random(13)
+        for _ in range(8):
+            m = rng.randint(1, 3)
+            mu = Fraction(rng.randint((m - 1) * 8 + 1, m * 8 - 1), 8)
+            p = rng.randint(0, m - 1)
+            a = rng.randint(0, 2)
+            b = a + m + 1 + rng.randint(0, 8)
+            f = admissible(rng.getrandbits(63), a, m, b, k0=p).as_float()
+            report = sobolev_report(f, a, b, mu, p, 2, 2, 3)
+
+            w = kernel_weights(mu - p, b - a, Backend.FLOAT)
+            lhs_pow = 0.0
+            kernel = 0.0
+            for j in range(a + m, b + 1):
+                lhs_pow += abs(nabla(f, j, p)) ** 3.0
+                inner = 0.0
+                for tau in range(a + 1, j + 1):
+                    inner += w[j - tau] ** 2.0
+                kernel += inner ** 1.5
+            cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
+            cap_norm = 0.0
+            for tau in range(a + 1, b + 1):
+                cap_norm += abs(cap.at(tau)) ** 2.0
+
+            assert report.components["kernel_factor"] == kernel
+            assert report.components["caputo_norm"] == cap_norm
+            assert report.lhs == root(lhs_pow, 3.0)
+            assert report.rhs == root(kernel, 3.0) * root(cap_norm, 2.0)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_avg_sobolev_three_orders(self, r):
+        rng = random.Random(17)
+        for _ in range(8):
+            orders = [Fraction(rng.randint(1, 7), 8) + k for k in range(3)]
+            a = rng.randint(0, 2)
+            b = a + 3 + 1 + rng.randint(0, 8)
+            f = admissible(rng.getrandbits(63), a, 3, b, k0=0).as_float()
+            weights = [float_weights(rng, a + 1, b) for _ in orders]
+            report = avg_sobolev_report(f, a, b, orders, weights, r)
+
+            b_terms, candidates = [], []
+            for mu, C in zip(orders, weights):
+                cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
+                acc = 0.0
+                for tau in range(a + 1, b + 1):
+                    acc += C.at(tau) * cap.at(tau) * cap.at(tau)
+                b_terms.append(acc)
+                w = kernel_weights(mu, b - a, Backend.FLOAT)
+                inner = 0.0
+                for j in range(a + math.ceil(mu), b + 1):
+                    s = 0.0
+                    for tau in range(a + 1, j + 1):
+                        s += w[j - tau] ** 2.0
+                    inner += s ** (r / 2.0)
+                candidates.append(inner ** (2.0 / r))
+            rho_star = max(1.0 / C.at(tau) for C in weights for tau in range(a + 1, b + 1))
+            total = 0.0
+            for v in b_terms:
+                total += v
+            rhs_sq = max(candidates) * rho_star * (total / len(orders))
+
+            assert report.components["b_terms"] == b_terms
+            assert report.rhs == root(rhs_sq, 2.0)

@@ -36,3 +36,20 @@ def test_suites_and_cli_carry_no_verdict_rule():
             if word in text:
                 offenders.append(f"{name} mentions {word}")
     assert offenders == []
+
+
+def test_no_builtin_or_compensated_sum():
+    # float sums add left to right in a fixed order; builtin sum() switched
+    # to compensated float summation in Python 3.12 and math.fsum rounds once,
+    # so either would make float results depend on the interpreter
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("sum", "fsum"):
+                offenders.append(f"{path.name}:{node.lineno} calls {name}")
+    assert offenders == []
