@@ -7,8 +7,11 @@ makes every identity in this package checkable with zero tolerance.
 
 Every fractional sum, Caputo-like difference and Taylor remainder in the
 package is the same discrete convolution ``Σ_{i=0}^{k} w[k−i]·v[i]``, and
-:func:`_convolve` is its single implementation.  It accumulates in ascending
-``i`` from the backend zero, which fixes the float results bit for bit.
+:func:`_convolve` is its single implementation.  Exact sums are integer dot
+products: the weights and the values are scaled once to integer numerators
+over their common denominators, and each output is one ``Fraction``.  Float
+sums accumulate in ascending ``i`` from the start value, which fixes the
+float results bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import reduce
+from operator import add, mul, sub
+from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
 from .grid import GridFunction, nabla
@@ -70,7 +75,9 @@ class FractionalOrder:
         return str(self.value)
 
 
-OrderInput = Union[FractionalOrder, Fraction, int, str]
+# A forward reference: typing's process-wide cache keeps every alias it builds,
+# and a class object in it would keep each re-imported copy of this module alive.
+OrderInput = Union["FractionalOrder", Fraction, int, str]
 
 
 def as_order(value: OrderInput) -> FractionalOrder:
@@ -129,11 +136,37 @@ class KernelRow:
         return cls(base=base, order=order, weights=kernel_weights(order, length, backend))
 
 
-def _convolve(w: tuple, v: tuple, k: int, acc: Scalar) -> Scalar:
-    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]``, accumulated in ascending ``i``."""
-    for x, y in zip(reversed(w[: k + 1]), v):
-        acc += x * y
-    return acc
+def _scaled(values: Sequence) -> tuple:
+    """Exact values as ``(numerators, d)`` over their common denominator ``d``."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _convolve(w: tuple, v: tuple, ks: Sequence[int], acc: Scalar) -> list:
+    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``ks``.
+
+    Floats accumulate in ascending ``i`` from ``acc``.  Exact sums scale
+    ``w[:K]`` and ``v[:K]`` (``K = max(ks)+1``) once to integer numerators over
+    their common denominators ``dw`` and ``dv``, and each output is
+    ``acc + Fraction(dot, dw·dv)`` with an integer dot product."""
+    if isinstance(acc, float):
+        return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in ks]
+    size = max(ks) + 1
+    (ws, dw), (vs, dv) = _scaled(w[:size]), _scaled(v[:size])
+    den = dw * dv
+    return [acc + Fraction(reduce(add, map(mul, reversed(ws[: k + 1]), vs)), den) for k in ks]
+
+
+def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
+    """``∇^m f`` on ``[lo, hi]``: exact values as m rounds of integer first
+    differences of ``f`` scaled once, float values by the binomial
+    :func:`nabla` per point."""
+    if f.backend is Backend.FLOAT:
+        return tuple(nabla(f, s, m) for s in range(lo, hi + 1))
+    ns, d = _scaled(f.values[lo - m - f.lo : hi + 1 - f.lo])
+    for _ in range(m):
+        ns = list(map(sub, ns[1:], ns[:-1]))
+    return tuple(Fraction(x, d) for x in ns)
 
 
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
@@ -144,7 +177,7 @@ def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
         raise EmptyRangeError(f"fractional sum needs t >= a, got t={t} < a={a}")
     f.require_window(a, t)
     w = kernel_weights(nu, t - a + 1, f.backend)
-    return _convolve(w, f.values[a - f.lo :], t - a, f.zero())
+    return _convolve(w, f.values[a - f.lo :], (t - a,), f.zero())[0]
 
 
 def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> GridFunction:
@@ -156,9 +189,7 @@ def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> Gr
         raise EmptyRangeError(f"fractional sum grid needs hi >= a, got hi={hi} < a={a}")
     f.require_window(a, hi)
     w = kernel_weights(nu, hi - a + 1, f.backend)
-    v = f.values[a - f.lo :]
-    zero = f.zero()
-    return GridFunction(a, tuple(_convolve(w, v, k, zero) for k in range(hi - a + 1)))
+    return GridFunction(a, tuple(_convolve(w, f.values[a - f.lo :], range(hi - a + 1), f.zero())))
 
 
 def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
@@ -171,7 +202,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
     f.require_window(a, a + j)
     # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1).
     w = kernel_weights(nu, j + 1, f.backend)
-    return _convolve(w, f.values[a - f.lo :], j, f.zero())
+    return _convolve(w, f.values[a - f.lo :], (j,), f.zero())[0]
 
 
 def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
@@ -183,8 +214,7 @@ def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
         raise EmptyRangeError(f"caputo difference needs t >= a, got t={t} < a={a}")
     f.require_window(a - m, t)
     w = kernel_weights(m - mu.value, t - a + 1, f.backend)
-    h = tuple(nabla(f, s, m) for s in range(a, t + 1))
-    return _convolve(w, h, t - a, f.zero())
+    return _convolve(w, _differences(f, a, m, t), (t - a,), f.zero())[0]
 
 
 def caputo_nabla_grid(f: GridFunction, a: int, mu: OrderInput, hi: int = None) -> GridFunction:
@@ -196,5 +226,4 @@ def caputo_nabla_grid(f: GridFunction, a: int, mu: OrderInput, hi: int = None) -
     if hi < a:
         raise EmptyRangeError(f"caputo grid needs hi >= a, got hi={hi} < a={a}")
     f.require_window(a - m, hi)
-    h = GridFunction(a, tuple(nabla(f, s, m) for s in range(a, hi + 1)))
-    return frac_sum_grid(h, a, m - mu.value, hi)
+    return frac_sum_grid(GridFunction(a, _differences(f, a, m, hi)), a, m - mu.value, hi)

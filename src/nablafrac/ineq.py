@@ -388,12 +388,18 @@ def _kernel_power_sums(
     outer_exp: Exponent,
     backend: Backend,
 ) -> Scalar:
-    """``Σ_{j=a+m_start}^{b} ( Σ_{τ=a+1}^{j} w(j−τ+1)^γ )^{outer_exp}``."""
+    """``Σ_{j=a+m_start}^{b} ( Σ_{τ=a+1}^{j} w(j−τ+1)^γ )^{outer_exp}``.
+
+    The inner sum at ``j`` is ``Σ_{n<j−a} w[n]^γ``.  Exact terms make it a
+    prefix sum, O(N) in all; float terms are added as ``w[j−a−1]^γ, …,
+    w[0]^γ`` (descending n), which fixes their bits."""
     if b < a + m_start:
         raise WindowError(f"kernel power sum needs b >= a+m = {a + m_start}, got b={b}")
-    w = kernel_weights(order, b - a, backend)
-    # w(j−τ+1) for τ = a+1 .. j is w[j−a−1], …, w[0]
-    inner = (_power_sum(w[j - a - 1::-1], gamma) for j in range(a + m_start, b + 1))
+    powers = [x**gamma for x in kernel_weights(order, b - a, backend)]
+    if isinstance(powers[0], Fraction):
+        inner = list(accumulate(powers))[m_start - 1 :]
+    else:
+        inner = (reduce(add, powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1))
     return _power_sum(inner, outer_exp)
 
 

@@ -18,6 +18,7 @@ from .fracops import (
     FractionalOrder,
     OrderInput,
     _convolve,
+    _differences,
     as_order,
     caputo_nabla_grid,
     kernel_weights,
@@ -73,7 +74,8 @@ def _expand(
     remainder kernel's order (m, μ or μ−p)."""
     w = kernel_weights(order, offsets[-1], backend)
     zero: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
-    return [(_poly_part(initials, p, n, backend), _convolve(w, source, n - 1, zero)) for n in offsets]
+    remainders = _convolve(w, source, [n - 1 for n in offsets], zero)
+    return [(_poly_part(initials, p, n, backend), rem) for n, rem in zip(offsets, remainders)]
 
 
 def _check_window(f: GridFunction, a: int, m: int, t: int) -> None:
@@ -88,7 +90,7 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
         raise ParameterError(f"integer order m must be >= 1, got {m!r}")
     _check_window(f, a, m, t)
     initials = tuple(nabla(f, a, k) for k in range(m))
-    h = tuple(nabla(f, tau, m) for tau in range(a + 1, t + 1))
+    h = _differences(f, a + 1, m, t)
     [(poly, rem)] = _expand(Fraction(m), initials, h, 0, (t - a,), f.backend)
     return TaylorExpansion(base=a, order=m, p=0, poly_part=poly, remainder=rem, total=poly + rem)
 
@@ -283,7 +285,7 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
         raise WindowError(f"t={t} beyond the seeded range [{a + 1}, {seed.b}]")
     n = t - a
     w = kernel_weights(Fraction(m), n, seed.backend)
-    return _convolve(w, seed.h, n - 1, _poly_part(seed.initial, 0, n, seed.backend))
+    return _convolve(w, seed.h, (n - 1,), _poly_part(seed.initial, 0, n, seed.backend))[0]
 
 
 def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed:
@@ -292,5 +294,5 @@ def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed
         b = f.hi
     f.require_window(a - m + 1, b)
     initial = tuple(nabla(f, a, k) for k in range(m))
-    h = tuple(nabla(f, tau, m) for tau in range(a + 1, b + 1))
+    h = _differences(f, a + 1, m, b)
     return TaylorSeed(a=a, m=m, initial=initial, h=h)

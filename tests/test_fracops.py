@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nablafrac import (
@@ -367,3 +367,60 @@ class TestNaiveReference:
                     assert shifted.remainder == reference(mu - p, cap, n - 1)
                     assert shifted.total == nabla(g, t, p)
                     assert shifted_series[t] == shifted
+
+
+# ---------------------------------------------------------------------------
+# the same oracle on rational grid values with mixed denominators
+
+mixed_values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# the length is drawn first: plain list strategies rarely grow past a dozen entries
+mixed_grids = st.integers(1, 80).flatmap(
+    lambda n: st.one_of(st.lists(mixed_values, min_size=n, max_size=n), st.just([Fraction(0)] * n))
+)
+# the m values left of the base that the m-th differences reach back to (m <= 5)
+mixed_heads = st.one_of(
+    st.lists(mixed_values, min_size=5, max_size=5),
+    st.just([Fraction(0)] * 5),
+)
+scaled_orders = st.builds(Fraction, st.integers(1, 45), st.integers(1, 9))
+
+
+@st.composite
+def scaled_fractional_orders(draw):
+    q = draw(st.integers(2, 9))
+    p = draw(st.integers(1, 5 * q).filter(lambda p: p % q != 0))
+    return Fraction(p, q)
+
+
+class TestNaiveReferenceRationalValues:
+    """Exact sums over non-integer values, whose denominators differ from
+    point to point, against naive product-form sums."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-5, 5), mixed_grids, scaled_orders)
+    @example(0, [Fraction(-7, 12)], Fraction(1, 9))
+    @example(2, [Fraction(0)] * 20, Fraction(7, 3))
+    def test_sums(self, a, values, nu):
+        f = GridFunction(a, tuple(values))
+        grid = frac_sum_grid(f, a, nu)
+        assert len(grid.values) == len(values)
+        for k in range(len(values)):
+            want = naive_sum(nu, f.values, k)
+            assert frac_sum(f, a, nu, a + k) == want
+            assert grid.at(a + k) == want
+            assert delta_frac_sum(f, a, nu, k) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-5, 5), scaled_fractional_orders(), mixed_heads, mixed_grids)
+    @example(0, Fraction(1, 2), [Fraction(3, 4)] * 5, [Fraction(-5, 7)])
+    @example(-3, Fraction(22, 9), [Fraction(0)] * 5, [Fraction(0)] * 30)
+    def test_caputo(self, a, mu, head, values):
+        m = math.ceil(mu)
+        f = GridFunction(a - m, tuple(head[:m] + values))
+        h = [nabla(f, s, m) for s in range(a, f.hi + 1)]
+        grid = caputo_nabla_grid(f, a, mu)
+        assert len(grid.values) == len(h) == len(values)
+        for k in range(len(h)):
+            want = naive_sum(m - mu, h, k)
+            assert caputo_nabla(f, a, mu, a + k) == want
+            assert grid.at(a + k) == want

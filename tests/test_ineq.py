@@ -774,3 +774,51 @@ class TestFloatOrder:
 
             assert report.components["b_terms"] == b_terms
             assert report.rhs == root(rhs_sq, 2.0)
+
+
+def product_weight(nu, n):
+    """``w_ν(n) = ∏_{j=1}^{n−1}(p+q(j−1)) / (q^{n−1}(n−1)!)`` for ν = p/q."""
+    num = 1
+    for j in range(1, n):
+        num *= nu.numerator + nu.denominator * (j - 1)
+    return Fraction(num, nu.denominator ** (n - 1) * math.factorial(n - 1))
+
+
+class TestKernelPowerSumOracle:
+    """The exact kernel factor ``Σ_{j=a+m}^{b} Σ_{τ=a+1}^{j} w_{μ−p}(j−τ+1)²``,
+    recovered from exact reports, against a naive double loop over
+    product-form weights."""
+
+    @staticmethod
+    def instance(n, mu, p):
+        a = 1
+        m = math.ceil(mu)
+        b = a + n
+        f = admissible(mix_seed(n, 71), a, m, b, k0=p)
+        w = [product_weight(mu - p, k) for k in range(1, n + 1)]
+        kernel = Fraction(0)
+        for j in range(a + m, b + 1):
+            inner = Fraction(0)
+            for tau in range(a + 1, j + 1):
+                inner += w[j - tau] ** 2
+            kernel += inner
+        v = [product_weight(m - mu, k) for k in range(1, n + 1)]
+        h = [nabla(f, s, m) for s in range(a + 1, b + 1)]
+        caputo_norm = Fraction(0)
+        for k in range(n):
+            cap = Fraction(0)
+            for i in range(k + 1):
+                cap += v[k - i] * h[i]
+            caputo_norm += cap**2
+        assert caputo_norm != 0
+        return f, a, b, kernel, caputo_norm
+
+    @pytest.mark.parametrize(
+        "n, mu, p", [(5, Fraction(5, 2), 1), (40, Fraction(17, 7), 0), (150, Fraction(13, 9), 1)]
+    )
+    def test_poincare_and_sobolev(self, n, mu, p):
+        f, a, b, kernel, caputo_norm = self.instance(n, mu, p)
+        poincare = poincare_report(f, a, b, mu, p)
+        assert poincare.rhs / caputo_norm == kernel
+        sobolev = sobolev_report(f, a, b, mu, p, 2, 2, 2)
+        assert sobolev.components["rhs_squared"] / caputo_norm == kernel

@@ -1,7 +1,10 @@
 """Package layout rules checked from the source tree."""
 
 import ast
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nablafrac"
@@ -53,3 +56,34 @@ def test_no_builtin_or_compensated_sum():
             if name in ("sum", "fsum"):
                 offenders.append(f"{path.name}:{node.lineno} calls {name}")
     assert offenders == []
+
+
+def test_reimport_frees_the_previous_package():
+    # a fresh import must not keep the previous copy alive (its classes, module
+    # dicts and kernel rows), e.g. through a class object held in typing's cache
+    script = textwrap.dedent(
+        """
+        import gc, importlib, sys, weakref
+
+        def load():
+            for name in [n for n in sys.modules if n == "nablafrac" or n.startswith("nablafrac.")]:
+                del sys.modules[name]
+            package = importlib.import_module("nablafrac")
+            for name in ("fracops", "taylor", "ineq", "harness", "gridio", "cli"):
+                importlib.import_module("nablafrac." + name)
+            return package
+
+        first = weakref.ref(load().FractionalOrder)
+        load()
+        load()
+        gc.collect()
+        print("alive" if first() is not None else "freed")
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["freed"]
