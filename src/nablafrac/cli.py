@@ -8,6 +8,7 @@ usage, parse, or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -65,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete nabla fractional calculus: evaluators and verification harnesses.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    _common_flags(common)
     for name, text in [
         ("eval-sum", "evaluate a fractional sum at one point"),
         ("eval-caputo", "evaluate the Caputo-like difference at one point"),
@@ -73,11 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "run a randomized identity suite"),
         ("ineq", "run an inequality suite, or evaluate one report with --input"),
     ]:
-        sub = commands.add_parser(name, help=text)
+        sub = commands.add_parser(name, help=text, parents=[common])
         if name in ("verify", "ineq"):
             sub.add_argument("suite", type=str, help="suite name")
-        _common_flags(sub)
     return parser
+
+
+# Parsing leaves a parser unchanged, so in-process callers of main share one.
+_parser = functools.cache(build_parser)
 
 
 def _require(args, *names) -> None:
@@ -225,9 +231,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

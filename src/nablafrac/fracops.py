@@ -24,7 +24,7 @@ from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
-from .grid import GridFunction, nabla
+from .grid import GridFunction
 from .scalars import Backend, Scalar, parse_order
 
 __all__ = [
@@ -159,11 +159,14 @@ def _convolve(w: tuple, v: tuple, ks: Sequence[int], acc: Scalar) -> list:
 
 def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
     """``∇^m f`` on ``[lo, hi]``: exact values as m rounds of integer first
-    differences of ``f`` scaled once, float values by the binomial
-    :func:`nabla` per point."""
+    differences of ``f`` scaled once, float values as :func:`nabla`'s binomial
+    sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` at each point."""
+    vs = f.values[lo - m - f.lo : hi + 1 - f.lo]
     if f.backend is Backend.FLOAT:
-        return tuple(nabla(f, s, m) for s in range(lo, hi + 1))
-    ns, d = _scaled(f.values[lo - m - f.lo : hi + 1 - f.lo])
+        cs = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
+        windows = (reversed(vs[i : i + m + 1]) for i in range(len(vs) - m))
+        return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows)
+    ns, d = _scaled(vs)
     for _ in range(m):
         ns = list(map(sub, ns[1:], ns[:-1]))
     return tuple(Fraction(x, d) for x in ns)
@@ -189,7 +192,7 @@ def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> Gr
         raise EmptyRangeError(f"fractional sum grid needs hi >= a, got hi={hi} < a={a}")
     f.require_window(a, hi)
     w = kernel_weights(nu, hi - a + 1, f.backend)
-    return GridFunction(a, tuple(_convolve(w, f.values[a - f.lo :], range(hi - a + 1), f.zero())))
+    return GridFunction._of(a, tuple(_convolve(w, f.values[a - f.lo :], range(hi - a + 1), f.zero())))
 
 
 def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
@@ -226,4 +229,4 @@ def caputo_nabla_grid(f: GridFunction, a: int, mu: OrderInput, hi: int = None) -
     if hi < a:
         raise EmptyRangeError(f"caputo grid needs hi >= a, got hi={hi} < a={a}")
     f.require_window(a - m, hi)
-    return frac_sum_grid(GridFunction(a, _differences(f, a, m, hi)), a, m - mu.value, hi)
+    return frac_sum_grid(GridFunction._of(a, _differences(f, a, m, hi)), a, m - mu.value, hi)

@@ -74,7 +74,10 @@ def _coerce_values(values: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Scalar values on a contiguous integer interval, one backend throughout."""
+    """Scalar values on a contiguous integer interval, one backend throughout.
+
+    The constructor coerces and checks every value; :meth:`_of` does not, and is
+    only for tuples the library built itself, all ``Fraction`` or all ``float``."""
 
     lo: int
     values: tuple
@@ -83,6 +86,13 @@ class GridFunction:
         if not isinstance(self.lo, int) or isinstance(self.lo, bool):
             raise ParameterError("lo must be an integer")
         object.__setattr__(self, "values", _coerce_values(tuple(self.values)))
+
+    @classmethod
+    def _of(cls, lo: int, values: tuple) -> "GridFunction":
+        """A grid on a library-built tuple of one backend's values, unchecked."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(lo=lo, values=values)
+        return grid
 
     @property
     def hi(self) -> int:
@@ -113,7 +123,7 @@ class GridFunction:
 
     def as_float(self) -> "GridFunction":
         """Explicit conversion to the float backend."""
-        return GridFunction(self.lo, tuple(float(v) for v in self.values))
+        return GridFunction._of(self.lo, tuple(map(float, self.values)))
 
     def zero(self) -> Scalar:
         """Additive identity carrying this grid's backend tag."""

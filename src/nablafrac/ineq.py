@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -87,9 +87,17 @@ def _root(x: Scalar, e: Exponent) -> Scalar:
 
 def _power_sum(values: Iterable[Scalar], e: Exponent) -> Scalar:
     """``Σ v^e`` over a non-empty sequence, added left to right from the first
-    term.  ``v ** e`` is exact for a rational ``v`` and an integral ``e`` and
-    a float otherwise."""
+    term.  ``v ** e`` is exact for a rational ``v`` and an integral ``e``, which
+    is raised as an ``int`` to spare ``Fraction``'s dispatch per term, and a
+    float otherwise."""
+    if isinstance(e, Fraction) and e.denominator == 1:
+        e = e.numerator
     return reduce(add, (v**e for v in values))
+
+
+def _values(g: GridFunction, lo: int, hi: int) -> tuple:
+    """The values of ``g`` on ``[lo, hi]``, a window the caller has checked."""
+    return g.values[lo - g.lo : hi + 1 - g.lo]
 
 
 def _check_conjugate(gamma: Exponent, delta: Exponent, policy: TolerancePolicy) -> None:
@@ -232,11 +240,11 @@ class OpialParams:
             raise ParameterError(f"order must exceed 2 (ceiling >= 3), got {self.mu.value}")
         _check_shift(self.mu, self.p)
         _check_conjugate(self.gamma, self.delta, DEFAULT_TOLERANCE)
-        for tau in self.inner_weights.domain.points():
-            if not self.inner_weights.at(tau) > 0:
+        for tau, v in enumerate(self.inner_weights.values, self.inner_weights.lo):
+            if not v > 0:
                 raise ParameterError(f"inner weight at {tau} must be positive")
-        for tp in self.outer_weights.domain.points():
-            if self.outer_weights.at(tp) < 0:
+        for tp, v in enumerate(self.outer_weights.values, self.outer_weights.lo):
+            if v < 0:
                 raise ParameterError(f"outer weight at {tp} must be non-negative")
 
 
@@ -266,19 +274,19 @@ def opial_report(
     _require_zero_initials(f, a, range(p, m), policy, "weighted-product bound")
     gamma, delta = params.gamma, params.delta
 
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=t)
+    cap = caputo_nabla_grid(f, a + 1, mu, hi=t).values
     w = kernel_weights(mu.value - p, t - a, f.backend)
-    span, window = range(a + 1, t + 1), range(a + m, t + 1)
+    c, d = _values(C, a + 1, t), _values(D, a + m, t)
+    window = range(a + m, t + 1)
 
-    g_vals = list(accumulate((C.at(tau) * abs(cap.at(tau))) ** delta for tau in span))
-    g = GridFunction(a + 1, tuple(g_vals))
-    theta_pow = [
-        _power_sum((w[tp - tau] / C.at(tau) for tau in range(a + 1, tp + 1)), gamma) for tp in window
-    ]
-    k_terms = ((D.at(tp) / C.at(tp)) ** gamma * s for tp, s in zip(window, theta_pow))
+    g_vals = tuple(accumulate((x * abs(y)) ** delta for x, y in zip(c, cap)))
+    g = GridFunction._of(a + 1, g_vals)
+    # θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ, in ascending τ
+    theta_pow = [_power_sum(map(truediv, w[tp - a - 1 :: -1], c), gamma) for tp in window]
+    k_terms = ((x / y) ** gamma * s for x, y, s in zip(d, c[m - 1 :], theta_pow))
     k_pow = reduce(add, k_terms, f.zero())
     k_factor = _root(k_pow, gamma)
-    lhs_terms = (D.at(tp) * abs(nabla(f, tp, p)) * abs(cap.at(tp)) for tp in window)
+    lhs_terms = (x * abs(nabla(f, tp, p)) * abs(y) for tp, x, y in zip(window, d, cap[m - 1 :]))
     lhs = reduce(add, lhs_terms, f.zero())
 
     bound_paper = g_bound(g, a, m, t, "paper")
@@ -293,7 +301,7 @@ def opial_report(
         "g_bound_paper": to_float(bound_paper),
         "g_bound_tight": to_float(bound_tight),
         "k_factor": to_float(k_factor),
-        "max_caputo": max(to_float(abs(cap.at(tau))) for tau in span),
+        "max_caputo": max(to_float(abs(v)) for v in cap),
     }
     params_echo = {
         "a": a,
@@ -365,7 +373,7 @@ def ostrowski_report(
     lhs = abs(average - base_value)
 
     cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
-    max_cap = max(abs(cap.at(tau)) for tau in range(a + 1, b + 1))
+    max_cap = max(map(abs, cap.values))
     coefficient = sum_rising_closed_form(a, m, b, mu.value - p, f.backend) / count
     rhs = coefficient * max_cap
 
@@ -435,7 +443,7 @@ def _norm_report(
     lhs_pow = _power_sum((abs(nabla(f, j, p)) for j in range(a + m, b + 1)), r)
     kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, r / gamma, f.backend)
     cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
-    cap_abs = [abs(cap.at(tau)) for tau in range(a + 1, b + 1)]
+    cap_abs = list(map(abs, cap.values))
     caputo_norm = _power_sum(cap_abs, delta)
 
     components: Dict[str, object] = {
@@ -525,25 +533,24 @@ def avg_sobolev_report(
         if C.backend is not backend:
             raise ParameterError("weight grids must share the function's backend")
         C.require_window(a + 1, b)
-        for tau in range(a + 1, b + 1):
-            if not C.at(tau) > 0:
-                raise ParameterError(f"weights must be positive, got {C.at(tau)} at {tau}")
+        for tau, v in enumerate(_values(C, a + 1, b), a + 1):
+            if not v > 0:
+                raise ParameterError(f"weights must be positive, got {v} at {tau}")
 
     two = Fraction(2)
-    window = range(a + 1, b + 1)
+    weights = [_values(C, a + 1, b) for C in weight_grids]
     b_terms: List[Scalar] = []
-    for order, C in zip(orders, weight_grids):
-        cap = caputo_nabla_grid(f, a + 1, order, hi=b)
-        terms = (C.at(tau) * cap.at(tau) * cap.at(tau) for tau in window)
-        b_terms.append(reduce(add, terms, f.zero()))
+    for order, c in zip(orders, weights):
+        cap = caputo_nabla_grid(f, a + 1, order, hi=b).values
+        b_terms.append(reduce(add, (x * v * v for x, v in zip(c, cap)), f.zero()))
 
     delta_star = max(
         (_kernel_power_sums(o.value, a, o.m, b, two, r / two, backend) ** (two / r) for o in orders),
         key=to_float,
     )
-    rho_star = max(1 / C.at(tau) for C in weight_grids for tau in window)
+    rho_star = max(1 / x for c in weights for x in c)
 
-    lhs_pow = _power_sum((abs(f.at(j)) for j in range(a + m_top, b + 1)), r)
+    lhs_pow = _power_sum(map(abs, _values(f, a + m_top, b)), r)
     lhs = _root(lhs_pow, r)
 
     mean_b = reduce(add, b_terms) / k

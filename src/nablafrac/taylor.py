@@ -272,7 +272,7 @@ def construct_from_taylor_data(seed: TaylorSeed) -> GridFunction:
             acc = acc + term if i % 2 == 1 else acc - term
         values[t] = acc
     lo = a - m + 1
-    return GridFunction(lo, tuple(values[t] for t in range(lo, seed.b + 1)))
+    return GridFunction._of(lo, tuple(values[t] for t in range(lo, seed.b + 1)))
 
 
 def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:

@@ -370,6 +370,38 @@ class TestNaiveReference:
 
 
 # ---------------------------------------------------------------------------
+# the float oracle on long integer grids: the length is drawn first
+
+long_grids = st.integers(1, 80).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+)
+# the m values left of the base that the m-th differences reach back to (m <= 5)
+int_heads = st.lists(st.integers(-9, 9), min_size=5, max_size=5)
+
+
+class TestFloatLongGrids:
+    """Float grid sums and Caputo differences on up to 80 points against an
+    ascending loop over the float kernel row, with :func:`nabla` per point as
+    the Caputo source."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-5, 5), long_grids, orders)
+    def test_sums(self, a, values, nu):
+        ff = GridFunction(a, tuple(map(float, values)))
+        want = tuple(ascending_float_sum(nu, ff.values, k) for k in range(len(values)))
+        assert frac_sum_grid(ff, a, nu).values == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-5, 5), fractional_orders(), int_heads, long_grids)
+    def test_caputo(self, a, mu, head, values):
+        m = math.ceil(mu)
+        ff = GridFunction(a - m, tuple(map(float, head[:m] + values)))
+        h = [nabla(ff, s, m) for s in range(a, ff.hi + 1)]
+        want = tuple(ascending_float_sum(m - mu, h, k) for k in range(len(h)))
+        assert caputo_nabla_grid(ff, a, mu).values == want
+
+
+# ---------------------------------------------------------------------------
 # the same oracle on rational grid values with mixed denominators
 
 mixed_values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))

@@ -14,9 +14,13 @@ from nablafrac import (
     GridFunction,
     OrderError,
     ParameterError,
+    TaylorSeed,
     TolerancePolicy,
+    caputo_nabla_grid,
+    construct_from_taylor_data,
     delta,
     falling_factorial,
+    frac_sum_grid,
     nabla,
     rising_factorial,
     scalar_close,
@@ -57,6 +61,38 @@ class TestGridFunction:
         f = GridFunction(0, (Fraction(1, 2), Fraction(3, 4))).as_float()
         assert f.backend is Backend.FLOAT
         assert f.at(0) == 0.5
+
+
+class TestLibraryBuiltGrids:
+    """Grids the library builds from its own value tuples equal, and hash like,
+    the same values passed through the public constructor."""
+
+    @staticmethod
+    def built(backend):
+        ints = (0, 3, -2, 7, 7, -9, 1, 0, 4, 5)
+        f = GridFunction(-3, ints if backend is Backend.EXACT else tuple(map(float, ints)))
+        seed = TaylorSeed(a=0, m=3, initial=(1, 0, -2), h=(4, 0, -1, 3, 2))
+        if backend is Backend.FLOAT:
+            seed = TaylorSeed(a=0, m=3, initial=(1.0, 0.0, -2.0), h=(4.0, 0.0, -1.0, 3.0, 2.0))
+        zeros = GridFunction(0, (0,) * 6 if backend is Backend.EXACT else (0.0,) * 6)
+        return [
+            frac_sum_grid(f, -3, Fraction(1, 2)),
+            frac_sum_grid(f, 0, 3),
+            frac_sum_grid(zeros, 0, Fraction(7, 3)),
+            caputo_nabla_grid(f, 0, Fraction(5, 2)),
+            caputo_nabla_grid(zeros, 2, Fraction(1, 3)),
+            construct_from_taylor_data(seed),
+            f.as_float(),
+            GridFunction(0, (1, 2)).as_float(),
+        ]
+
+    @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+    def test_equal_to_public_construction(self, backend):
+        for g in self.built(backend):
+            public = GridFunction(g.lo, g.values)
+            assert g == public and hash(g) == hash(public)
+            kind = Fraction if g.backend is Backend.EXACT else float
+            assert all(type(v) is kind for v in g.values)
 
 
 class TestNablaDelta:

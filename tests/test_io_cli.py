@@ -1,8 +1,13 @@
 """Grid I/O, report serialization, and command-line interface tests."""
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from nablafrac import (
     run_identity_suite,
     run_inequality_suite,
 )
-from nablafrac.cli import main
+from nablafrac.cli import build_parser, main
 from nablafrac.gridio import (
     format_scalar,
     parse_scalar,
@@ -187,6 +192,46 @@ def cube_csv(tmp_path):
     path = tmp_path / "cube.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+COMMANDS = ("eval-sum", "eval-caputo", "taylor", "bound", "verify", "ineq")
+# flag -> (text on the command line, parsed value)
+COMMON_FLAGS = {
+    "--a": ("3", 3),
+    "--b": ("9", 9),
+    "--t": ("5", 5),
+    "--mu": ("5/2", "5/2"),
+    "--nu": ("1/2", "1/2"),
+    "--p": ("1", 1),
+    "--gamma": ("3", "3"),
+    "--delta": ("3/2", "3/2"),
+    "--r": ("4", "4"),
+    "--input": ("grid.csv", "grid.csv"),
+    "--backend": ("float", "float"),
+    "--seed": ("7", 7),
+    "--trials": ("11", 11),
+    "--format": ("csv", "csv"),
+    "--g-variant": ("tight", "tight"),
+}
+
+
+def in_process(argv):
+    """``main(argv)`` in this process: (exit code, stdout bytes, stderr bytes)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def one_shot(argv):
+    """``python -m nablafrac.cli argv`` in a fresh process, as a shell runs it."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablafrac.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCli:
@@ -378,3 +423,43 @@ class TestCli:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_in_process_calls_are_independent(self, ones_csv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        good = ["eval-sum", "--input", ones_csv, "--a", "0", "--nu", "1/2", "--t", "2"]
+        calls = [
+            (good, 0),
+            (["eval-sum", "--a", "x"], 2),
+            (["ineq", "--help"], 0),
+            (["eval-sum", "--input", ones_csv, "--a", "0", "--t", "2"], 2),
+            (good, 0),
+        ]
+        for argv, code in calls:
+            result = in_process(argv)
+            assert result[0] == code
+            assert result == one_shot(argv)
+
+    def test_one_shot_float_call_prints_the_in_process_bytes(self, tmp_path):
+        from nablafrac import FunctionSpec, gen_function
+
+        f = gen_function(FunctionSpec(a=0, m=2, b=30, zero_initials_from=0, value_range=5, seed=3))
+        path = tmp_path / "f.json"
+        write_grid_json(f, str(path))
+        for argv in (
+            ["eval-sum", "--input", str(path), "--a", "0", "--nu", "3/7", "--t", "30"],
+            ["ineq", "sobolev", "--input", str(path), "--a", "0", "--b", "30", "--mu", "3/2"],
+        ):
+            argv = argv + ["--backend", "float", "--format", "json"]
+            code, out, err = one_shot(argv)
+            assert code == 0 and out and not err
+            assert (code, out, err) == in_process(argv)
+
+    def test_every_command_takes_every_common_flag(self):
+        parser = build_parser()
+        assert len(COMMON_FLAGS) == 15
+        for command in COMMANDS:
+            head = [command, "opial"] if command in ("verify", "ineq") else [command]
+            for flag, (text, value) in COMMON_FLAGS.items():
+                args = parser.parse_args(head + [flag, text])
+                assert args.command == command
+                assert getattr(args, flag[2:].replace("-", "_")) == value
