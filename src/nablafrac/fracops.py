@@ -8,10 +8,10 @@ makes every identity in this package checkable with zero tolerance.
 Every fractional sum, Caputo-like difference and Taylor remainder in the
 package is the same discrete convolution ``Σ_{i=0}^{k} w[k−i]·v[i]``, and
 :func:`_convolve` is its single implementation.  Exact sums are integer dot
-products: the weights and the values are scaled once to integer numerators
-over their common denominators, and each output is one ``Fraction``.  Float
-sums accumulate in ascending ``i`` from the start value, which fixes the
-float results bit for bit.
+products: the weights and the values are scaled once (by :mod:`grid`'s helper)
+to integer numerators over their common denominators, and each output is one
+``Fraction``.  Float sums accumulate in ascending ``i`` from the start value,
+which fixes the float results bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
-from .grid import GridFunction
+from .grid import GridFunction, _differences, _scaled
 from .scalars import Backend, Scalar, parse_order
 
 __all__ = [
@@ -136,12 +136,6 @@ class KernelRow:
         return cls(base=base, order=order, weights=kernel_weights(order, length, backend))
 
 
-def _scaled(values: Sequence) -> tuple:
-    """Exact values as ``(numerators, d)`` over their common denominator ``d``."""
-    d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
-
-
 def _convolve(w: tuple, v: tuple, ks: Sequence[int], acc: Scalar) -> list:
     """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``ks``.
 
@@ -155,21 +149,6 @@ def _convolve(w: tuple, v: tuple, ks: Sequence[int], acc: Scalar) -> list:
     (ws, dw), (vs, dv) = _scaled(w[:size]), _scaled(v[:size])
     den = dw * dv
     return [acc + Fraction(reduce(add, map(mul, reversed(ws[: k + 1]), vs)), den) for k in ks]
-
-
-def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
-    """``∇^m f`` on ``[lo, hi]``: exact values as m rounds of integer first
-    differences of ``f`` scaled once, float values as :func:`nabla`'s binomial
-    sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` at each point."""
-    vs = f.values[lo - m - f.lo : hi + 1 - f.lo]
-    if f.backend is Backend.FLOAT:
-        cs = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
-        windows = (reversed(vs[i : i + m + 1]) for i in range(len(vs) - m))
-        return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows)
-    ns, d = _scaled(vs)
-    for _ in range(m):
-        ns = list(map(sub, ns[1:], ns[:-1]))
-    return tuple(Fraction(x, d) for x in ns)
 
 
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
@@ -202,10 +181,9 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
     nu = as_order(nu)
     if not isinstance(j, int) or j < 0:
         raise ParameterError(f"shift j must be a non-negative integer, got {j!r}")
-    f.require_window(a, a + j)
-    # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1).
-    w = kernel_weights(nu, j + 1, f.backend)
-    return _convolve(w, f.values[a - f.lo :], (j,), f.zero())[0]
+    # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1),
+    # the kernel of the backward sum at a+j.
+    return frac_sum(f, a, nu, a + j)
 
 
 def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:

@@ -4,6 +4,8 @@ A :class:`GridFunction` stores scalar values on a contiguous interval
 ``[lo, hi]`` with one backend throughout.  Every operator checks its domain
 and fails loudly instead of zero-padding, so validity windows of the
 representations built on top become checkable preconditions.
+
+Every backward and forward difference in the package is one :func:`_differences` call.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderError, ParameterError
@@ -152,30 +156,42 @@ def _check_step_count(k: int) -> None:
         raise OrderError(f"difference order must be a non-negative integer, got {k!r}")
 
 
+def _scaled(values: Sequence) -> tuple:
+    """Exact values as ``(numerators, d)`` over their common denominator ``d``."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
+    """``∇^m f`` on ``[lo, hi]``, a window the caller has checked; ``m = 0``
+    gives the value slice itself.  Exact values are m rounds of integer first
+    differences of ``f`` scaled once, float values the binomial sum
+    ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` at each point."""
+    vs = f.values[lo - m - f.lo : hi + 1 - f.lo]
+    if m == 0:
+        return vs
+    if f.backend is Backend.FLOAT:
+        cs = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
+        windows = (reversed(vs[i : i + m + 1]) for i in range(len(vs) - m))
+        return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows)
+    ns, d = _scaled(vs)
+    for _ in range(m):
+        ns = list(map(sub, ns[1:], ns[:-1]))
+    return tuple(Fraction(x, d) for x in ns)
+
+
 def nabla(f: GridFunction, t: int, k: int = 1) -> Scalar:
     """k-th backward difference ``Σ_{j=0}^{k} (−1)^j C(k,j) f(t−j)``."""
     _check_step_count(k)
     f.require_window(t - k, t)
-    if k == 0:
-        return f.at(t)
-    acc = f.zero()
-    for j in range(k + 1):
-        term = math.comb(k, j) * f.at(t - j)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return _differences(f, t, k, t)[0]
 
 
 def delta(f: GridFunction, t: int, k: int = 1) -> Scalar:
-    """k-th forward difference ``Σ_{j=0}^{k} C(k,j) (−1)^{k−j} f(t+j)``."""
+    """k-th forward difference ``Σ_{j=0}^{k} C(k,j) (−1)^{k−j} f(t+j) = ∇^k f(t+k)``."""
     _check_step_count(k)
     f.require_window(t, t + k)
-    if k == 0:
-        return f.at(t)
-    acc = f.zero()
-    for j in range(k + 1):
-        term = math.comb(k, j) * f.at(t + j)
-        acc = acc + term if (k - j) % 2 == 0 else acc - term
-    return acc
+    return _differences(f, t + k, k, t + k)[0]
 
 
 def _classify_exponent(alpha):

@@ -27,7 +27,7 @@ from .fracops import (
     frac_sum_grid,
     kernel_weights,
 )
-from .grid import GridFunction, nabla
+from .grid import GridFunction, _differences
 from .ineq import (
     InequalityReport,
     OpialParams,
@@ -247,10 +247,7 @@ def _trial_nabla_of_sum(rng: random.Random, backend: Backend) -> List[Pair]:
     p = rng.randint(0, max(0, min(3, p_max)))
     summed = frac_sum_grid(f, a, nu)
     reduced = frac_sum_grid(f, a, nu - p)
-    pairs: List[Pair] = []
-    for t in range(a + p, f.hi + 1):
-        pairs.append((nabla(summed, t, p), reduced.at(t)))
-    return pairs
+    return list(zip(_differences(summed, a + p, p, f.hi), reduced.values[p:]))
 
 
 def _taylor_function_spec(rng: random.Random, m: int, a: int, free_initials: bool) -> FunctionSpec:
@@ -284,8 +281,8 @@ def _trial_taylor_extended(rng: random.Random, backend: Backend) -> List[Pair]:
     p = rng.randint(0, m - 1)
     series = taylor_extended_series(f, a, mu, p)
     pairs: List[Pair] = []
-    for t, expansion in series.items():
-        pairs.append((expansion.total, nabla(f, t, p)))
+    for expansion, want in zip(series.values(), _differences(f, a + m, p, f.hi)):
+        pairs.append((expansion.total, want))
         pairs.append((expansion.poly_part + expansion.remainder, expansion.total))
     reduced = taylor_extended(f, a, mu, 0, f.hi)
     plain = taylor_fractional(f, a, mu, f.hi)
@@ -303,15 +300,9 @@ def _trial_power_rule(rng: random.Random, backend: Backend) -> List[Pair]:
     row = kernel_weights(Fraction(k + 1), span, backend)
     one: Scalar = 1.0 if backend is Backend.FLOAT else Fraction(1)
     zero: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
-    head = one if k == 0 else zero
-    g = GridFunction(a, (head,) + tuple(row))
-    expected_row = kernel_weights(Fraction(k - p + 1), span, backend)
-    expected_head = one if k == p else zero
-    pairs: List[Pair] = []
-    for t in range(a + p, a + span + 1):
-        want = expected_head if t == a else expected_row[t - a - 1]
-        pairs.append((nabla(g, t, p), want))
-    return pairs
+    g = GridFunction(a, (one if k == 0 else zero,) + tuple(row))
+    expected = (one if k == p else zero,) + kernel_weights(Fraction(k - p + 1), span, backend)
+    return list(zip(_differences(g, a + p, p, a + span), expected[p:]))
 
 
 def _trial_gamma_quotient(rng: random.Random, backend: Backend) -> List[Pair]:

@@ -34,7 +34,7 @@ from .errors import (
     WindowError,
 )
 from .fracops import FractionalOrder, OrderInput, as_order, caputo_nabla_grid, kernel_weights
-from .grid import GridFunction, nabla
+from .grid import GridFunction, _differences, nabla
 from .scalars import (
     Backend,
     DEFAULT_TOLERANCE,
@@ -286,7 +286,8 @@ def opial_report(
     k_terms = ((x / y) ** gamma * s for x, y, s in zip(d, c[m - 1 :], theta_pow))
     k_pow = reduce(add, k_terms, f.zero())
     k_factor = _root(k_pow, gamma)
-    lhs_terms = (x * abs(nabla(f, tp, p)) * abs(y) for tp, x, y in zip(window, d, cap[m - 1 :]))
+    diffs = _differences(f, a + m, p, t)
+    lhs_terms = (x * abs(v) * abs(y) for x, v, y in zip(d, diffs, cap[m - 1 :]))
     lhs = reduce(add, lhs_terms, f.zero())
 
     bound_paper = g_bound(g, a, m, t, "paper")
@@ -368,7 +369,7 @@ def ostrowski_report(
     _require_zero_initials(f, a, range(p + 1, m), policy, "average-deviation bound")
 
     count = b - a - m
-    average = reduce(add, (nabla(f, j, p) for j in range(a + m + 1, b + 1)), f.zero()) / count
+    average = reduce(add, _differences(f, a + m + 1, p, b), f.zero()) / count
     base_value = nabla(f, a, p)
     lhs = abs(average - base_value)
 
@@ -440,7 +441,7 @@ def _norm_report(
     f.require_window(a - m + 1, b)
     _require_zero_initials(f, a, range(p, m), policy, "norm bound")
 
-    lhs_pow = _power_sum((abs(nabla(f, j, p)) for j in range(a + m, b + 1)), r)
+    lhs_pow = _power_sum(map(abs, _differences(f, a + m, p, b)), r)
     kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, r / gamma, f.backend)
     cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
     cap_abs = list(map(abs, cap.values))

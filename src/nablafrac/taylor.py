@@ -8,22 +8,22 @@ is the backbone of the verification suites.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple, Union
+from itertools import accumulate
+from operator import sub
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
 from .fracops import (
     FractionalOrder,
     OrderInput,
     _convolve,
-    _differences,
     as_order,
     caputo_nabla_grid,
     kernel_weights,
 )
-from .grid import GridFunction, _coerce_values, nabla
+from .grid import GridFunction, _coerce_values, _differences, _scaled, nabla
 from .scalars import Backend, Scalar, normalized_rising
 
 __all__ = [
@@ -95,38 +95,45 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     return TaylorExpansion(base=a, order=m, p=0, poly_part=poly, remainder=rem, total=poly + rem)
 
 
-def _fractional_parts(f: GridFunction, a: int, mu: FractionalOrder, p: int, t_lo: int, t_hi: int):
-    """The Caputo-like difference on ``[a+1, t_hi]`` (based at ``a+1``) and
-    the ``(poly_part, remainder)`` of the order-μ expansion of ``∇^p f`` at
-    every ``t`` in ``[t_lo, t_hi]``, in ascending t."""
+def _series(
+    f: GridFunction, a: int, mu: OrderInput, p: Optional[int], t_lo: int, t_hi: int, context: str
+) -> Tuple[tuple, Dict[int, TaylorExpansion]]:
+    """Check the arguments, then return the Caputo-like difference on
+    ``[a+1, t_hi]`` (based at ``a+1``) and the order-μ expansions at every t in
+    ``[t_lo, t_hi]`` (default ``[a+m, f.hi]``), in ascending t.  ``p = None`` is
+    the plain expansion, ``total = poly_part + remainder``; an integer p expands
+    ``∇^p f``, with ``total = ∇^p f(t)``."""
+    mu = as_order(mu).require_non_integer(context)
+    if p is not None:
+        _check_extended_args(a, mu, p)
+    t_hi = f.hi if t_hi is None else t_hi
+    _check_window(f, a, mu.m, t_hi)
+    t_lo = a + mu.m if t_lo is None else t_lo
+    shift = p or 0
     cap = caputo_nabla_grid(f, a + 1, mu, hi=t_hi).values
     initials = tuple(nabla(f, a, k) for k in range(mu.m))
-    return cap, _expand(mu.value - p, initials, cap, p, range(t_lo - a, t_hi - a + 1), f.backend)
+    offsets = range(t_lo - a, t_hi - a + 1)
+    parts = _expand(mu.value - shift, initials, cap, shift, offsets, f.backend)
+    totals = [poly + rem for poly, rem in parts] if p is None else _differences(f, t_lo, p, t_hi)
+    series = {
+        t: TaylorExpansion(base=a, order=mu, p=shift, poly_part=poly, remainder=rem, total=total)
+        for t, (poly, rem), total in zip(range(t_lo, t_hi + 1), parts, totals)
+    }
+    return cap, series
 
 
 def taylor_fractional(f: GridFunction, a: int, mu: OrderInput, t: int) -> TaylorExpansion:
     """Backward expansion of non-integer order μ about ``a``: the integer poly
     part of degree m−1 plus the order-μ kernel applied to the Caputo-like
     difference based at ``a+1``."""
-    mu = as_order(mu).require_non_integer("fractional expansion")
-    _check_window(f, a, mu.m, t)
-    _, [(poly, rem)] = _fractional_parts(f, a, mu, 0, t, t)
-    return TaylorExpansion(base=a, order=mu, p=0, poly_part=poly, remainder=rem, total=poly + rem)
+    return _series(f, a, mu, None, t, t, "fractional expansion")[1][t]
 
 
 def taylor_fractional_series(
     f: GridFunction, a: int, mu: OrderInput, t_max: int = None
 ) -> Dict[int, TaylorExpansion]:
     """Expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
-    mu = as_order(mu).require_non_integer("fractional expansion")
-    if t_max is None:
-        t_max = f.hi
-    _check_window(f, a, mu.m, t_max)
-    _, parts = _fractional_parts(f, a, mu, 0, a + mu.m, t_max)
-    return {
-        t: TaylorExpansion(base=a, order=mu, p=0, poly_part=poly, remainder=rem, total=poly + rem)
-        for t, (poly, rem) in zip(range(a + mu.m, t_max + 1), parts)
-    }
+    return _series(f, a, mu, None, None, t_max, "fractional expansion")[1]
 
 
 def _check_base(a: int) -> None:
@@ -153,27 +160,14 @@ def _check_extended_args(a: int, mu: FractionalOrder, p: int) -> None:
 def taylor_extended(f: GridFunction, a: int, mu: OrderInput, p: int, t: int) -> TaylorExpansion:
     """Expansion of the p-th backward difference: ``total = ∇^p f(t)``, poly
     part summed for ``k = p .. m−1``, remainder kernel of order ``μ−p``."""
-    mu = as_order(mu).require_non_integer("extended fractional expansion")
-    _check_extended_args(a, mu, p)
-    _check_window(f, a, mu.m, t)
-    _, [(poly, rem)] = _fractional_parts(f, a, mu, p, t, t)
-    return TaylorExpansion(base=a, order=mu, p=p, poly_part=poly, remainder=rem, total=nabla(f, t, p))
+    return _series(f, a, mu, p, t, t, "extended fractional expansion")[1][t]
 
 
 def taylor_extended_series(
     f: GridFunction, a: int, mu: OrderInput, p: int, t_max: int = None
 ) -> Dict[int, TaylorExpansion]:
     """Extended expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
-    mu = as_order(mu).require_non_integer("extended fractional expansion")
-    _check_extended_args(a, mu, p)
-    if t_max is None:
-        t_max = f.hi
-    _check_window(f, a, mu.m, t_max)
-    _, parts = _fractional_parts(f, a, mu, p, a + mu.m, t_max)
-    return {
-        t: TaylorExpansion(base=a, order=mu, p=p, poly_part=poly, remainder=rem, total=nabla(f, t, p))
-        for t, (poly, rem) in zip(range(a + mu.m, t_max + 1), parts)
-    }
+    return _series(f, a, mu, p, None, t_max, "extended fractional expansion")[1]
 
 
 def kernel_sum_closed_form(a: int, mu: OrderInput, t: int, backend: Backend = Backend.EXACT) -> Scalar:
@@ -208,13 +202,11 @@ def remainder_bound(
     """Deviation of ``∇^p f(t)`` from its poly part, and the kernel-mass bound:
     the rising power of ``t−a`` with exponent ``μ−p`` over Γ(μ−p+1) times the
     largest Caputo magnitude on ``(a, t]``.  Guarantees ``lhs ≤ rhs``."""
-    mu = as_order(mu).require_non_integer("remainder bound")
-    _check_extended_args(a, mu, p)
-    _check_window(f, a, mu.m, t)
-    cap, [(poly, _)] = _fractional_parts(f, a, mu, p, t, t)
-    lhs = abs(nabla(f, t, p) - poly)
+    cap, series = _series(f, a, mu, p, t, t, "remainder bound")
+    expansion = series[t]
+    lhs = abs(expansion.total - expansion.poly_part)
     max_cap = max(abs(v) for v in cap)
-    target = mu.value - p + 1
+    target = expansion.order.value - p + 1
     coeff = normalized_rising(t - a, target, target, f.backend)
     return lhs, coeff * max_cap
 
@@ -251,33 +243,34 @@ class TaylorSeed:
 
 def construct_from_taylor_data(seed: TaylorSeed) -> GridFunction:
     """Build ``f`` on ``[a−m+1, b]`` with the seed's initial differences at ``a``
-    and its m-th difference values on ``[a+1, b]``.
+    and its m-th difference values on ``[a+1, b]``, inverting ``∇^m``.
 
-    The left tail solves the lower-triangular binomial system relating the
-    tail values to the initial differences; forward values unroll the m-term
-    recurrence of the m-th difference.
+    ``f(a−j)`` heads the initial column ``(∇^k f(a))_{k<m}`` after j rounds of
+    the first differences ``∇^k f(a) − ∇^{k+1} f(a)``.  Forward, ``∇^k f`` is the
+    prefix sum of ``∇^{k+1} f`` from ``∇^k f(a)``, for k = m−1 down to 0, in
+    integers over one common denominator on the exact backend.
     """
     a, m = seed.a, seed.m
-    values: dict = {a: seed.initial[0]}
-    for k in range(1, m):
-        acc = seed.initial[k]
-        for i in range(k):
-            term = math.comb(k, i) * values[a - i]
-            acc = acc - term if i % 2 == 0 else acc + term
-        values[a - k] = acc if k % 2 == 0 else -acc
-    for idx, t in enumerate(range(a + 1, seed.b + 1)):
-        acc = seed.h[idx]
-        for i in range(1, m + 1):
-            term = math.comb(m, i) * values[t - i]
-            acc = acc + term if i % 2 == 1 else acc - term
-        values[t] = acc
-    lo = a - m + 1
-    return GridFunction._of(lo, tuple(values[t] for t in range(lo, seed.b + 1)))
+    exact = seed.backend is Backend.EXACT
+    values = seed.initial + seed.h
+    if exact:
+        values, d = _scaled(values)
+    column, forward = values[:m], values[m:]
+    tail = []
+    for _ in range(m):
+        tail.append(column[0])
+        column = list(map(sub, column[:-1], column[1:]))
+    for start in reversed(values[:m]):
+        forward = list(accumulate(forward, initial=start))[1:]
+    out = tail[::-1] + forward
+    if exact:
+        out = [Fraction(x, d) for x in out]
+    return GridFunction._of(a - m + 1, tuple(out))
 
 
 def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
     """Evaluate the seeded function at ``t ≥ a+m`` directly from the expansion,
-    without constructing the grid.  Independent of the recurrence unroll."""
+    without constructing the grid, so independently of the prefix sums."""
     a, m = seed.a, seed.m
     if t < a + m:
         raise WindowError(f"direct evaluation is valid only for t >= a+m = {a + m}, got t={t}")

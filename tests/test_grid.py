@@ -3,9 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablafrac import (
@@ -154,11 +156,48 @@ class TestNablaDelta:
         f = poly_grid(0, 5, 2)
         assert nabla(f, 3, 0) == 9
         assert delta(f, 3, 0) == 9
+        g = GridFunction(0, (-0.0, 1.0))
+        assert math.copysign(1.0, nabla(g, 0, 0)) == math.copysign(1.0, delta(g, 0, 0)) == -1.0
 
     def test_negative_order_rejected(self):
         f = poly_grid(0, 5, 2)
         with pytest.raises(OrderError):
             nabla(f, 3, -1)
+
+
+@st.composite
+def rational_grids_and_orders(draw):
+    """A grid of up to 80 rational values (denominators up to 12), drawn
+    length first, and a difference order ``k ≤ 6`` the grid can carry."""
+    n = draw(st.integers(1, 80))
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    values = draw(st.lists(fractions, min_size=n, max_size=n))
+    lo = draw(st.integers(-10, 10))
+    k = draw(st.integers(0, min(6, n - 1)))
+    return GridFunction(lo, tuple(values)), k
+
+
+class TestDifferencesAgainstBinomialSums:
+    """Every backward and forward difference against the naive binomial sum:
+    exactly on rationals, and bit for bit on floats, whose terms are added
+    ``0.0 ± C(k,j)·f(t−j)`` in ascending ``j``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_grids_and_orders())
+    def test_exact_and_float(self, grid_and_order):
+        f, k = grid_and_order
+        ff = f.as_float()
+        for t in range(f.lo + k, f.hi + 1):
+            backward = [(-1) ** j * math.comb(k, j) * f.at(t - j) for j in range(k + 1)]
+            assert nabla(f, t, k) == reduce(add, backward)
+            s = t - k
+            forward = [(-1) ** (k - j) * math.comb(k, j) * f.at(s + j) for j in range(k + 1)]
+            assert delta(f, s, k) == reduce(add, forward)
+            acc = 0.0
+            for j in range(k + 1):
+                term = math.comb(k, j) * ff.at(t - j)
+                acc = acc + term if j % 2 == 0 else acc - term
+            assert nabla(ff, t, k) == acc
 
 
 class TestRisingFactorial:

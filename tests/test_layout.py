@@ -58,6 +58,22 @@ def test_no_builtin_or_compensated_sum():
     assert offenders == []
 
 
+def test_one_binomial_difference_implementation():
+    # every backward difference, forward difference and Taylor construction
+    # goes through grid._differences, so binomial coefficients appear there only
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "comb":
+                offenders.append(f"{path.name}:{node.lineno} calls comb")
+    assert len(offenders) == 1 and offenders[0].startswith("grid.py:"), offenders
+
+
 def test_reimport_frees_the_previous_package():
     # a fresh import must not keep the previous copy alive (its classes, module
     # dicts and kernel rows), e.g. through a class object held in typing's cache
