@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from .errors import NablaFracError, UsageError
 from .fracops import as_order, caputo_nabla, frac_sum
@@ -26,7 +25,7 @@ from .ineq import (
     poincare_report,
     sobolev_report,
 )
-from .scalars import Backend, parse_order
+from .scalars import Backend, _cast, parse_order
 from .taylor import remainder_bound, taylor_extended, taylor_fractional, taylor_integer
 
 __all__ = ["build_parser", "main"]
@@ -174,7 +173,7 @@ def _single_report(args):
     opts = _ineq_params(args)
     gamma, delta, r = (opts.get(key, 2) for key in ("gamma", "delta", "r"))
     p = opts.get("p", 0)
-    one = 1.0 if f.backend is Backend.FLOAT else Fraction(1)
+    one = _cast(f.backend, 1)
     if name == "opial":
         _require(args, "a", "t", "mu")
         mu = as_order(args.mu)

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
 from .grid import GridFunction, _differences, _scaled
-from .scalars import Backend, Scalar, parse_order
+from .scalars import Backend, Scalar, _cast, parse_order
 
 __all__ = [
     "FractionalOrder",
@@ -106,8 +106,8 @@ def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
     row = _KERNEL_CACHE.get(key, ())
     if len(row) >= length:
         return row[:length]
-    step, one = (nu, Fraction(1)) if backend is Backend.EXACT else (float(nu), 1.0)
-    ws = list(row) or [one]
+    step = _cast(backend, nu)
+    ws = list(row) or [_cast(backend, 1)]
     while len(ws) < length:
         n = len(ws)
         ws.append(ws[-1] * (step + n - 1) / n)

@@ -6,6 +6,7 @@ and fails loudly instead of zero-padding, so validity windows of the
 representations built on top become checkable preconditions.
 
 Every backward and forward difference in the package is one :func:`_differences` call.
+The rising and falling factorials live with the gamma cores in ``scalars``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderError, ParameterError
-from .scalars import Backend, Scalar
+from .scalars import Backend, Scalar, _cast, falling_factorial, rising_factorial
 
 __all__ = [
     "GridDomain",
@@ -131,7 +132,7 @@ class GridFunction:
 
     def zero(self) -> Scalar:
         """Additive identity carrying this grid's backend tag."""
-        return 0.0 if self.backend is Backend.FLOAT else Fraction(0)
+        return _cast(self.backend, 0)
 
     @classmethod
     def from_callable(
@@ -180,6 +181,12 @@ def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
     return tuple(Fraction(x, d) for x in ns)
 
 
+def _initial_column(f: GridFunction, a: int, m: int) -> tuple:
+    """``(∇^k f(a))_{k<m}`` on ``[a−m+1, a]``, a window the caller has checked;
+    each entry has the bits of ``nabla(f, a, k)``."""
+    return tuple(_differences(f, a, k, a)[0] for k in range(m))
+
+
 def nabla(f: GridFunction, t: int, k: int = 1) -> Scalar:
     """k-th backward difference ``Σ_{j=0}^{k} (−1)^j C(k,j) f(t−j)``."""
     _check_step_count(k)
@@ -192,85 +199,3 @@ def delta(f: GridFunction, t: int, k: int = 1) -> Scalar:
     _check_step_count(k)
     f.require_window(t, t + k)
     return _differences(f, t + k, k, t + k)[0]
-
-
-def _classify_exponent(alpha):
-    """Return (is_integer, value) with value an int or a Fraction/float."""
-    if isinstance(alpha, bool):
-        raise ParameterError("booleans are not exponents")
-    if isinstance(alpha, int):
-        return True, alpha
-    if isinstance(alpha, Fraction):
-        if alpha.denominator == 1:
-            return True, int(alpha)
-        return False, alpha
-    if isinstance(alpha, float):
-        if alpha.is_integer():
-            return True, int(alpha)
-        return False, alpha
-    raise ParameterError(f"unsupported exponent type {type(alpha).__name__}")
-
-
-def rising_factorial(t: int, alpha) -> Scalar:
-    """``t·(t+1)···(t+α−1)`` generalised through ``Γ(t+α)/Γ(t)``.
-
-    Exact for integer ``α``; float (via log-gamma) otherwise.  Conventions:
-    the zeroth power of anything is 1, and 0 to any nonzero power is 0.
-    """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise DomainError(f"rising factorial needs an integer t >= 0, got {t!r}")
-    integral, value = _classify_exponent(alpha)
-    if integral and value == 0:
-        return Fraction(1)
-    if t == 0:
-        return Fraction(0)
-    if integral:
-        if value > 0:
-            acc = Fraction(1)
-            for i in range(value):
-                acc *= t + i
-            return acc
-        acc = Fraction(1)
-        for i in range(1, -value + 1):
-            factor = t - i
-            if factor == 0:
-                raise DomainError(f"rising factorial pole at t={t}, alpha={alpha}")
-            acc *= factor
-        return 1 / acc
-    x = t + float(value)
-    if x > 0.0:
-        return math.exp(math.lgamma(x) - math.lgamma(float(t)))
-    try:
-        return math.gamma(x) / math.gamma(float(t))
-    except ValueError as exc:
-        raise DomainError(f"rising factorial pole at t={t}, alpha={alpha}") from exc
-
-
-def falling_factorial(t: int, alpha) -> Scalar:
-    """``t·(t−1)···(t−α+1)`` generalised through ``Γ(t+1)/Γ(t+1−α)``.
-
-    Exact for integer ``α``; float otherwise.  A pole of the denominator
-    gamma raises a domain error.
-    """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise DomainError(f"falling factorial needs an integer t >= 0, got {t!r}")
-    integral, value = _classify_exponent(alpha)
-    if integral:
-        if value == 0:
-            return Fraction(1)
-        if value > 0:
-            acc = Fraction(1)
-            for i in range(value):
-                acc *= t - i
-            return acc
-        acc = Fraction(1)
-        for i in range(1, -value + 1):
-            acc *= t + i
-        return 1 / acc
-    y = t + 1 - float(value)
-    if y > 0.0:
-        return math.exp(math.lgamma(t + 1.0) - math.lgamma(y))
-    try:
-        return math.gamma(t + 1.0) / math.gamma(y)
-    except ValueError as exc:
-        raise DomainError(f"falling factorial pole at t={t}, alpha={alpha}") from exc

@@ -11,6 +11,7 @@ bound report per trial, and count slack violations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .scalars import (
     DEFAULT_TOLERANCE,
     Scalar,
     TolerancePolicy,
+    _cast,
     gamma_ratio_mod1,
     scalar_close,
     to_float,
@@ -205,6 +207,16 @@ def _maybe_float_grid(f: GridFunction, backend: Backend) -> GridFunction:
     return f.as_float() if backend is Backend.FLOAT else f
 
 
+def _spec_function(rng: random.Random, a: int, m: int, hi: int, k0: int) -> GridFunction:
+    """A drawn admissible function on ``[a−m+1, max(hi, a+m+1)]`` whose backward
+    differences of order ``k0 .. m−1`` vanish at ``a``."""
+    b = max(hi, a + m + 1)
+    spec = FunctionSpec(
+        a=a, m=m, b=b, zero_initials_from=k0, value_range=_VALUE_BOUND, seed=rng.getrandbits(64)
+    )
+    return gen_function(spec)
+
+
 # ---------------------------------------------------------------------------
 # identity suites: each trial returns (got, want) pairs
 
@@ -250,19 +262,10 @@ def _trial_nabla_of_sum(rng: random.Random, backend: Backend) -> List[Pair]:
     return list(zip(_differences(summed, a + p, p, f.hi), reduced.values[p:]))
 
 
-def _taylor_function_spec(rng: random.Random, m: int, a: int, free_initials: bool) -> FunctionSpec:
-    span = rng.randint(m + 1, 40 - m)
-    k0 = m if free_initials else 0
-    return FunctionSpec(
-        a=a, m=m, b=a + span, zero_initials_from=k0, value_range=9, seed=rng.getrandbits(64)
-    )
-
-
 def _trial_taylor(rng: random.Random, backend: Backend) -> List[Pair]:
     m = rng.randint(1, 5)
     a = rng.randint(-5, 5)
-    spec = _taylor_function_spec(rng, m, a, free_initials=True)
-    f = _maybe_float_grid(gen_function(spec), backend)
+    f = _maybe_float_grid(_spec_function(rng, a, m, a + rng.randint(m + 1, 40 - m), k0=m), backend)
     mu = _draw_order_with_ceiling(rng, m)
     series = taylor_fractional_series(f, a, mu)
     pairs: List[Pair] = []
@@ -275,8 +278,7 @@ def _trial_taylor(rng: random.Random, backend: Backend) -> List[Pair]:
 def _trial_taylor_extended(rng: random.Random, backend: Backend) -> List[Pair]:
     m = rng.randint(1, 5)
     a = rng.randint(0, 5)
-    spec = _taylor_function_spec(rng, m, a, free_initials=True)
-    f = _maybe_float_grid(gen_function(spec), backend)
+    f = _maybe_float_grid(_spec_function(rng, a, m, a + rng.randint(m + 1, 40 - m), k0=m), backend)
     mu = _draw_order_with_ceiling(rng, m)
     p = rng.randint(0, m - 1)
     series = taylor_extended_series(f, a, mu, p)
@@ -298,8 +300,7 @@ def _trial_power_rule(rng: random.Random, backend: Backend) -> List[Pair]:
     p = rng.randint(0, k)
     span = 30
     row = kernel_weights(Fraction(k + 1), span, backend)
-    one: Scalar = 1.0 if backend is Backend.FLOAT else Fraction(1)
-    zero: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
+    one, zero = _cast(backend, 1), _cast(backend, 0)
     g = GridFunction(a, (one if k == 0 else zero,) + tuple(row))
     expected = (one if k == p else zero,) + kernel_weights(Fraction(k - p + 1), span, backend)
     return list(zip(_differences(g, a + p, p, a + span), expected[p:]))
@@ -366,6 +367,30 @@ _IDENTITY_SUITES: Dict[str, Callable[[random.Random, Backend], List[Pair]]] = {
 IDENTITY_SUITE_NAMES = tuple(sorted(_IDENTITY_SUITES))
 
 
+def _suite(table: dict, kind: str, name: str) -> Callable:
+    """The trial function of the named suite; an unknown name is a usage error."""
+    if name not in table:
+        raise UsageError(f"unknown {kind} suite {name!r}; pick one of {', '.join(sorted(table))}")
+    return table[name]
+
+
+def _run_trials(
+    name: str, trials: int, master_seed: int, backend: Backend, judge: Callable, fold: Callable, worst: float
+) -> SuiteResult:
+    """The suite loop.  ``judge(rng)`` runs the trial behind one trial seed and
+    returns ``(failed, slacks)``; ``fold`` folds every non-NaN slack into ``worst``."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    failing: List[int] = []
+    for index in range(trials):
+        trial_seed = mix_seed(master_seed, index)
+        failed, slacks = judge(random.Random(trial_seed))
+        worst = reduce(fold, (s for s in slacks if not math.isnan(s)), worst)
+        if failed:
+            failing.append(trial_seed)
+    return SuiteResult(name, trials, len(failing), worst, tuple(failing), backend, master_seed)
+
+
 def run_identity_suite(
     name: str,
     trials: int,
@@ -379,51 +404,21 @@ def run_identity_suite(
     failing :func:`scalar_close` under ``policy`` is a failure.  The absolute
     defect of the worst pair is reported either way.
     """
-    if name not in _IDENTITY_SUITES:
-        raise UsageError(f"unknown identity suite {name!r}; pick one of {', '.join(IDENTITY_SUITE_NAMES)}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    trial_fn = _IDENTITY_SUITES[name]
-    failures = 0
-    failing: List[int] = []
-    worst = 0.0
-    for index in range(trials):
-        trial_seed = mix_seed(master_seed, index)
-        pairs = trial_fn(random.Random(trial_seed), backend)
-        bad = False
-        for got, want in pairs:
-            if backend is Backend.EXACT:
-                if got != want:
-                    bad = True
-            elif not scalar_close(got, want, policy):
-                bad = True
-            defect = abs(to_float(got) - to_float(want))
-            if not math.isnan(defect):
-                worst = max(worst, defect)
-        if bad:
-            failures += 1
-            failing.append(trial_seed)
-    return SuiteResult(
-        suite=name,
-        trials=trials,
-        failures=failures,
-        worst_slack=worst,
-        failing_seeds=tuple(failing),
-        backend=backend,
-        master_seed=master_seed,
-    )
+    trial_fn = _suite(_IDENTITY_SUITES, "identity", name)
+
+    def judge(rng: random.Random) -> Tuple[bool, List[float]]:
+        pairs = trial_fn(rng, backend)
+        if backend is Backend.EXACT:
+            failed = any(got != want for got, want in pairs)
+        else:
+            failed = not all(scalar_close(got, want, policy) for got, want in pairs)
+        return failed, [abs(to_float(got) - to_float(want)) for got, want in pairs]
+
+    return _run_trials(name, trials, master_seed, backend, judge, max, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # inequality suites: each trial returns a report
-
-
-def _spec_function(rng: random.Random, a: int, m: int, hi: int, k0: int) -> GridFunction:
-    b = max(hi, a + m + 1)
-    spec = FunctionSpec(
-        a=a, m=m, b=b, zero_initials_from=k0, value_range=_VALUE_BOUND, seed=rng.getrandbits(64)
-    )
-    return gen_function(spec)
 
 
 def _draw_weight(rng: random.Random, allow_zero: bool = False) -> Fraction:
@@ -548,36 +543,17 @@ def run_inequality_suite(
     the same rule as :attr:`InequalityReport.holds` (NaN first, then an exact
     certificate, then the slack tolerance).
     """
-    if name not in _INEQUALITY_SUITES:
-        raise UsageError(
-            f"unknown inequality suite {name!r}; pick one of {', '.join(INEQUALITY_SUITE_NAMES)}"
-        )
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    trial_fn = _INEQUALITY_SUITES[name]
-    failures = 0
-    failing: List[int] = []
-    worst = math.inf
-    for index in range(trials):
-        trial_seed = mix_seed(master_seed, index)
-        report = trial_fn(random.Random(trial_seed), backend, params)
-        slack = to_float(report.slack)
-        if not math.isnan(slack):
-            worst = min(worst, slack)
-        if not _verdict(report.rhs, report.slack, report.components, policy):
-            failures += 1
-            failing.append(trial_seed)
-    if math.isinf(worst):
-        worst = float("nan")
-    return SuiteResult(
-        suite=name,
-        trials=trials,
-        failures=failures,
-        worst_slack=worst,
-        failing_seeds=tuple(failing),
-        backend=backend,
-        master_seed=master_seed,
-    )
+    trial_fn = _suite(_INEQUALITY_SUITES, "inequality", name)
+
+    def judge(rng: random.Random) -> Tuple[bool, Tuple[float]]:
+        report = trial_fn(rng, backend, params)
+        failed = not _verdict(report.rhs, report.slack, report.components, policy)
+        return failed, (to_float(report.slack),)
+
+    result = _run_trials(name, trials, master_seed, backend, judge, min, math.inf)
+    if math.isinf(result.worst_slack):
+        return dataclasses.replace(result, worst_slack=float("nan"))
+    return result
 
 
 def replay_identity_trial(
@@ -585,15 +561,11 @@ def replay_identity_trial(
 ) -> List[Pair]:
     """Re-run the single identity trial behind a recorded seed; returns its
     (got, want) comparison pairs."""
-    if name not in _IDENTITY_SUITES:
-        raise UsageError(f"unknown identity suite {name!r}")
-    return _IDENTITY_SUITES[name](random.Random(trial_seed), backend)
+    return _suite(_IDENTITY_SUITES, "identity", name)(random.Random(trial_seed), backend)
 
 
 def replay_inequality_trial(
     name: str, trial_seed: int, backend: Backend = Backend.EXACT, **params
 ) -> InequalityReport:
     """Re-run the single inequality trial behind a recorded seed."""
-    if name not in _INEQUALITY_SUITES:
-        raise UsageError(f"unknown inequality suite {name!r}")
-    return _INEQUALITY_SUITES[name](random.Random(trial_seed), backend, params)
+    return _suite(_INEQUALITY_SUITES, "inequality", name)(random.Random(trial_seed), backend, params)

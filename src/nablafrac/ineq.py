@@ -34,12 +34,14 @@ from .errors import (
     WindowError,
 )
 from .fracops import FractionalOrder, OrderInput, as_order, caputo_nabla_grid, kernel_weights
-from .grid import GridFunction, _differences, nabla
+from .grid import GridFunction, _differences, _initial_column, nabla
 from .scalars import (
     Backend,
     DEFAULT_TOLERANCE,
     Scalar,
     TolerancePolicy,
+    _cast,
+    _classify_exponent,
     parse_order,
     to_float,
 )
@@ -61,18 +63,12 @@ Exponent = Union[Fraction, float]
 
 
 def as_exponent(value) -> Exponent:
-    """Normalise an exponent parameter: rationals stay exact, floats stay float."""
-    if isinstance(value, bool):
-        raise ParameterError("booleans are not exponents")
+    """Normalise an exponent parameter: a string is parsed, integral values
+    become ``Fraction``s, and other rationals and floats stay as they are."""
     if isinstance(value, str):
         return parse_order(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(int(value)) if value.is_integer() else value
-    raise ParameterError(f"unsupported exponent type {type(value).__name__}")
+    integral, value = _classify_exponent(value)
+    return Fraction(value) if integral else value
 
 
 def _root(x: Scalar, e: Exponent) -> Scalar:
@@ -112,16 +108,19 @@ def _check_conjugate(gamma: Exponent, delta: Exponent, policy: TolerancePolicy) 
         raise ParameterError(f"gamma={gamma} and delta={delta} are not conjugate")
 
 
+def _nonzero(v: Scalar, policy: TolerancePolicy) -> bool:
+    """Whether a boundary value fails to vanish: ``v != 0`` for a ``Fraction``,
+    ``|v| > abs_eps`` for a float."""
+    return v != 0 if isinstance(v, Fraction) else abs(v) > policy.abs_eps
+
+
 def _require_zero_initials(
-    f: GridFunction, a: int, ks: Sequence[int], policy: TolerancePolicy, context: str
+    f: GridFunction, a: int, k0: int, m: int, policy: TolerancePolicy, context: str
 ) -> None:
-    for k in ks:
-        v = nabla(f, a, k)
-        if isinstance(v, Fraction):
-            bad = v != 0
-        else:
-            bad = abs(v) > policy.abs_eps
-        if bad:
+    """``∇^k f(a)`` must vanish for ``k0 ≤ k < m``; the caller has checked the
+    window ``[a−m+1, a]``."""
+    for k, v in enumerate(_initial_column(f, a, m)[k0:], k0):
+        if _nonzero(v, policy):
             raise BoundaryConditionError(
                 f"{context} requires the k={k} backward difference at {a} to vanish, got {v}"
             )
@@ -271,7 +270,7 @@ def opial_report(
     C.require_window(a + 1, t)
     D.require_window(a + m, t)
     f.require_window(a - m + 1, t)
-    _require_zero_initials(f, a, range(p, m), policy, "weighted-product bound")
+    _require_zero_initials(f, a, p, m, policy, "weighted-product bound")
     gamma, delta = params.gamma, params.delta
 
     cap = caputo_nabla_grid(f, a + 1, mu, hi=t).values
@@ -327,10 +326,9 @@ def opial_corollary_25(
     f.require_window(-2, t)
     for point in (0, -1, -2):
         v = f.at(point)
-        bad = v != 0 if isinstance(v, Fraction) else abs(v) > policy.abs_eps
-        if bad:
+        if _nonzero(v, policy):
             raise BoundaryConditionError(f"f({point}) must vanish, got {v}")
-    one: Scalar = 1.0 if f.backend is Backend.FLOAT else Fraction(1)
+    one = _cast(f.backend, 1)
     params = OpialParams(
         mu=Fraction(5, 2),
         p=0,
@@ -366,7 +364,7 @@ def ostrowski_report(
     if b <= a + m:
         raise WindowError(f"average needs b > a+m = {a + m}, got b={b}")
     f.require_window(a - m + 1, b)
-    _require_zero_initials(f, a, range(p + 1, m), policy, "average-deviation bound")
+    _require_zero_initials(f, a, p + 1, m, policy, "average-deviation bound")
 
     count = b - a - m
     average = reduce(add, _differences(f, a + m + 1, p, b), f.zero()) / count
@@ -439,7 +437,7 @@ def _norm_report(
     if b < a + m:
         raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
     f.require_window(a - m + 1, b)
-    _require_zero_initials(f, a, range(p, m), policy, "norm bound")
+    _require_zero_initials(f, a, p, m, policy, "norm bound")
 
     lhs_pow = _power_sum(map(abs, _differences(f, a + m, p, b)), r)
     kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, r / gamma, f.backend)
@@ -528,7 +526,7 @@ def avg_sobolev_report(
     if b <= a + m_top:
         raise WindowError(f"averaged bound needs b > a+m = {a + m_top}, got b={b}")
     f.require_window(a - m_top + 1, b)
-    _require_zero_initials(f, a, range(0, m_top), policy, "averaged norm bound")
+    _require_zero_initials(f, a, 0, m_top, policy, "averaged norm bound")
     backend = f.backend
     for C in weight_grids:
         if C.backend is not backend:

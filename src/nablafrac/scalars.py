@@ -8,12 +8,12 @@ conversion, the mixed comparison in :func:`scalar_close`, and the bound
 evaluators' mixed arithmetic, where Python converts the ``Fraction`` with
 ``float()``.
 
-The arithmetic core here is :func:`normalized_rising`, the gamma quotient
-``Γ(n+ν−1) / (Γ(n)·Γ(c))``.  Whenever ``ν − c`` is an integer the quotient
-telescopes through ``Γ(z+1) = z·Γ(z)`` into a finite product and is therefore
-an exact rational for rational orders; that is what makes exact verification
-of every kernel in this package possible.  The float realisation goes through
-``math.lgamma`` instead and accepts arbitrary positive arguments.
+Every gamma quotient in the package (the kernel weight :func:`normalized_rising`,
+the rising and falling factorials, :func:`gamma_ratio_mod1`) is a view of two
+cores.  :func:`_gamma_ratio` telescopes ``Γ(p)/Γ(q)`` for an integer ``p − q``
+through ``Γ(z+1) = z·Γ(z)`` into a finite product, exact for rational orders;
+that makes exact verification of every kernel possible.  :func:`_float_gamma_ratio`
+goes through ``math.lgamma`` and raises ``DomainError`` on a pole or an overflow.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import reduce
+from operator import sub, truediv
+from typing import Optional, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -126,10 +128,96 @@ def parse_order(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _cast(backend: Backend, x) -> Scalar:
+    """``x`` as a scalar of ``backend``: ``float(x)`` or ``Fraction(x)``."""
+    return float(x) if backend is Backend.FLOAT else Fraction(x)
+
+
 def _as_rational(value, what: str) -> Fraction:
     if isinstance(value, float):
         raise ParameterError(f"{what} must be rational on the exact backend, got float {value!r}")
     return Fraction(value)
+
+
+def _classify_exponent(alpha) -> Tuple[bool, Union[int, Fraction, float]]:
+    """``(True, int)`` for an integral exponent, else ``(False, alpha)`` with
+    ``alpha`` a ``Fraction`` or ``float``."""
+    if isinstance(alpha, bool):
+        raise ParameterError("booleans are not exponents")
+    if isinstance(alpha, int):
+        return True, alpha
+    if isinstance(alpha, Fraction):
+        integral = alpha.denominator == 1
+    elif isinstance(alpha, float):
+        integral = alpha.is_integer()
+    else:
+        raise ParameterError(f"unsupported exponent type {type(alpha).__name__}")
+    return (True, int(alpha)) if integral else (False, alpha)
+
+
+def _gamma_ratio(p, q, pole: Optional[str]) -> Fraction:
+    """Exact ``Γ(p)/Γ(q)`` for an integer ``p − q``: by ``Γ(z+1) = z·Γ(z)`` the
+    product of ``min(p, q) + i``, ``i < |p − q|``, inverted when ``p < q``.  A zero
+    factor raises ``DomainError(pole)``, or with ``pole=None`` makes the value 0."""
+    steps = int(p - q)
+    low = min(p, q)
+    num, den = low.numerator, low.denominator
+    factors = range(num, num + abs(steps) * den, den)
+    if 0 in factors:
+        if pole is not None:
+            raise DomainError(pole)
+        return Fraction(0)
+    product = Fraction(math.prod(factors), den ** abs(steps))
+    return product if steps >= 0 else 1 / product
+
+
+def _float_gamma_ratio(p: float, qs: Tuple[float, ...], pole: Optional[str] = None) -> float:
+    """``Γ(p)/Γ(q₁)/Γ(q₂)…`` in floats: ``exp(lgamma(p) − lgamma(q₁) − …)`` when every
+    argument is positive, else the ``math.gamma`` quotient.  A pole or a value
+    beyond the float range raises a ``DomainError``."""
+    try:
+        if p > 0.0 and all(q > 0.0 for q in qs):
+            return math.exp(reduce(sub, map(math.lgamma, qs), math.lgamma(p)))
+        return reduce(truediv, map(math.gamma, qs), math.gamma(p))
+    except ValueError as exc:
+        raise DomainError(pole or "gamma quotient crosses a pole") from exc
+    except OverflowError as exc:
+        quotient = "/".join(f"Γ({x!r})" for x in (p, *qs))
+        raise DomainError(f"gamma quotient {quotient} overflows the float range") from exc
+
+
+def rising_factorial(t: int, alpha) -> Scalar:
+    """``t·(t+1)···(t+α−1)`` generalised through ``Γ(t+α)/Γ(t)``.
+
+    Exact for integer ``α``; float (via log-gamma) otherwise.  Conventions:
+    the zeroth power of anything is 1, and 0 to any nonzero power is 0.
+    """
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise DomainError(f"rising factorial needs an integer t >= 0, got {t!r}")
+    integral, value = _classify_exponent(alpha)
+    if integral and value == 0:
+        return Fraction(1)
+    if t == 0:
+        return Fraction(0)
+    pole = f"rising factorial pole at t={t}, alpha={alpha}"
+    if integral:
+        return _gamma_ratio(t + value, t, pole)
+    return _float_gamma_ratio(t + float(value), (float(t),), pole)
+
+
+def falling_factorial(t: int, alpha) -> Scalar:
+    """``t·(t−1)···(t−α+1)`` generalised through ``Γ(t+1)/Γ(t+1−α)``.
+
+    Exact for integer ``α`` (0 once ``α > t``); float otherwise.  A pole of the
+    denominator gamma in the float case raises a domain error.
+    """
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise DomainError(f"falling factorial needs an integer t >= 0, got {t!r}")
+    integral, value = _classify_exponent(alpha)
+    if integral:
+        return _gamma_ratio(t + 1, t + 1 - value, None)
+    pole = f"falling factorial pole at t={t}, alpha={alpha}"
+    return _float_gamma_ratio(t + 1.0, (t + 1 - float(value),), pole)
 
 
 def gamma_ratio_mod1(p, q) -> Fraction:
@@ -145,29 +233,10 @@ def gamma_ratio_mod1(p, q) -> Fraction:
         raise NormalizationError(
             f"gamma quotient of {p} and {q} is not rational (difference {diff} is not an integer)"
         )
-    steps = int(diff)
-    acc = Fraction(1)
-    if steps >= 0:
-        for i in range(steps):
-            factor = q + i
-            if factor == 0:
-                raise DomainError(f"gamma quotient crosses a pole at argument {q + i}")
-            acc *= factor
-        return acc
-    for i in range(-steps):
-        factor = p + i
-        if factor == 0:
-            raise DomainError(f"gamma quotient crosses a pole at argument {p + i}")
-        acc *= factor
-    return 1 / acc
+    return _gamma_ratio(p, q, "gamma quotient crosses a pole at argument 0")
 
 
-def normalized_rising(
-    n: int,
-    nu,
-    c=None,
-    backend: Backend = Backend.EXACT,
-) -> Scalar:
+def normalized_rising(n: int, nu, c=None, backend: Backend = Backend.EXACT) -> Scalar:
     """``Γ(n+ν−1) / (Γ(n)·Γ(c))`` for ``n ≥ 1``; with ``c = ν`` this is the
     kernel weight ``w_ν(n)``.
 
@@ -180,14 +249,11 @@ def normalized_rising(
         raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"normalized rising factorial needs n >= 1, got n={n}")
-    if backend is Backend.FLOAT:
-        nu_f = float(nu)
-        c_f = nu_f if c is None else float(c)
-        if nu_f <= 0.0 or c_f <= 0.0:
-            raise OrderError("orders must be positive")
-        return math.exp(math.lgamma(n + nu_f - 1.0) - math.lgamma(float(n)) - math.lgamma(c_f))
-    nu_q = _as_rational(nu, "order")
-    c_q = nu_q if c is None else _as_rational(c, "normaliser")
-    if nu_q <= 0 or c_q <= 0:
+    exact = backend is Backend.EXACT
+    nu = _as_rational(nu, "order") if exact else float(nu)
+    c = nu if c is None else _as_rational(c, "normaliser") if exact else float(c)
+    if nu <= 0 or c <= 0:
         raise OrderError("orders must be positive")
-    return gamma_ratio_mod1(nu_q + (n - 1), c_q) / math.factorial(n - 1)
+    if exact:
+        return gamma_ratio_mod1(nu + (n - 1), c) / math.factorial(n - 1)
+    return _float_gamma_ratio(n + nu - 1.0, (float(n), c))

@@ -23,8 +23,8 @@ from .fracops import (
     caputo_nabla_grid,
     kernel_weights,
 )
-from .grid import GridFunction, _coerce_values, _differences, _scaled, nabla
-from .scalars import Backend, Scalar, normalized_rising
+from .grid import GridFunction, _coerce_values, _differences, _initial_column, _scaled
+from .scalars import Backend, Scalar, _cast, normalized_rising
 
 __all__ = [
     "TaylorExpansion",
@@ -59,7 +59,7 @@ def _poly_part(initials: tuple, p: int, n: int, backend: Backend) -> Scalar:
     """Degree-(m−1) polynomial part at ``t = a+n`` (``n ≥ 1``): the sum over
     ``k = p .. m−1`` of the rising power of n with exponent k−p over (k−p)!
     times ``initials[k] = ∇^k f(a)``, accumulated in ascending k."""
-    acc: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
+    acc = _cast(backend, 0)
     for k in range(p, len(initials)):
         acc += kernel_weights(Fraction(k - p + 1), n, backend)[n - 1] * initials[k]
     return acc
@@ -73,8 +73,7 @@ def _expand(
     ``a+1+i`` (∇^m f or the Caputo-like difference) and ``order`` the
     remainder kernel's order (m, μ or μ−p)."""
     w = kernel_weights(order, offsets[-1], backend)
-    zero: Scalar = 0.0 if backend is Backend.FLOAT else Fraction(0)
-    remainders = _convolve(w, source, [n - 1 for n in offsets], zero)
+    remainders = _convolve(w, source, [n - 1 for n in offsets], _cast(backend, 0))
     return [(_poly_part(initials, p, n, backend), rem) for n, rem in zip(offsets, remainders)]
 
 
@@ -89,7 +88,7 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     if not isinstance(m, int) or m < 1:
         raise ParameterError(f"integer order m must be >= 1, got {m!r}")
     _check_window(f, a, m, t)
-    initials = tuple(nabla(f, a, k) for k in range(m))
+    initials = _initial_column(f, a, m)
     h = _differences(f, a + 1, m, t)
     [(poly, rem)] = _expand(Fraction(m), initials, h, 0, (t - a,), f.backend)
     return TaylorExpansion(base=a, order=m, p=0, poly_part=poly, remainder=rem, total=poly + rem)
@@ -111,7 +110,7 @@ def _series(
     t_lo = a + mu.m if t_lo is None else t_lo
     shift = p or 0
     cap = caputo_nabla_grid(f, a + 1, mu, hi=t_hi).values
-    initials = tuple(nabla(f, a, k) for k in range(mu.m))
+    initials = _initial_column(f, a, mu.m)
     offsets = range(t_lo - a, t_hi - a + 1)
     parts = _expand(mu.value - shift, initials, cap, shift, offsets, f.backend)
     totals = [poly + rem for poly, rem in parts] if p is None else _differences(f, t_lo, p, t_hi)
@@ -286,6 +285,7 @@ def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed
     if b is None:
         b = f.hi
     f.require_window(a - m + 1, b)
-    initial = tuple(nabla(f, a, k) for k in range(m))
+    f.require_window(a, a)  # the initial column needs f(a) even when b < a
+    initial = _initial_column(f, a, m)
     h = _differences(f, a + 1, m, b)
     return TaylorSeed(a=a, m=m, initial=initial, h=h)

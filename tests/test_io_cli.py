@@ -405,6 +405,14 @@ class TestCli:
         code = main(["eval-sum", "--input", "/nonexistent.csv", "--a", "0", "--nu", "1/2", "--t", "2"])
         assert code == 2
 
+    def test_float_gamma_overflow_is_exit_2(self, tmp_path, capsys):
+        # the remainder coefficient Γ(2301.5)/(Γ(2000)·Γ(302.5)) exceeds the float range
+        path = tmp_path / "zeros.csv"
+        path.write_text("t,value\n" + "".join(f"{t},0\n" for t in range(-300, 2001)), encoding="utf-8")
+        argv = ["bound", "--input", str(path), "--backend", "float", "--a", "0", "--mu", "601/2", "--t", "2000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_from_argparse(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -74,6 +74,27 @@ def test_one_binomial_difference_implementation():
     assert len(offenders) == 1 and offenders[0].startswith("grid.py:"), offenders
 
 
+def test_log_gamma_only_in_the_gamma_core():
+    # every gamma quotient is a view of the cores in scalars.py; the harness's
+    # float reference trial spells its quotients out on purpose
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "harness.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_trial_gamma_quotient":
+                    allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "lgamma" and path.name != "scalars.py":
+                offenders.append(f"{path.name}:{node.lineno} calls lgamma")
+    assert offenders == []
+
+
 def test_reimport_frees_the_previous_package():
     # a fresh import must not keep the previous copy alive (its classes, module
     # dicts and kernel rows), e.g. through a class object held in typing's cache

@@ -1,6 +1,7 @@
 """Scalar backend tests: gamma quotients, kernel weights, comparison policy."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from nablafrac import (
     ParseError,
     TolerancePolicy,
     backend_of,
+    falling_factorial,
     gamma_ratio_mod1,
     normalized_rising,
     parse_order,
+    rising_factorial,
     scalar_close,
 )
 
@@ -103,6 +106,144 @@ class TestGammaRatio:
     def test_pole_crossing_rejected(self):
         with pytest.raises(DomainError):
             gamma_ratio_mod1(Fraction(2), Fraction(-1))
+
+
+def _naive_ratio(p, q):
+    """Γ(p)/Γ(q) for an integer p − q and no pole, multiplied factor by factor."""
+    acc = Fraction(1)
+    for i in range(int(abs(p - q))):
+        acc *= min(p, q) + i
+    return acc if p >= q else 1 / acc
+
+
+def _rational_exponent(rng):
+    value = rng.randint(-9, 9)
+    return rng.choice([value, Fraction(value), float(value)])
+
+
+class TestGammaQuotientSweep:
+    """Seeded sweep pinning every gamma-quotient view: exact values against
+    naive factor products, float values against their explicit log-gamma and
+    gamma expressions, plus the conventions and messages."""
+
+    def test_exact_factorials_are_factor_products(self):
+        rng = random.Random(11)
+        for _ in range(600):
+            t, alpha = rng.randint(0, 30), _rational_exponent(rng)
+            k = int(alpha)
+            got = falling_factorial(t, alpha)
+            want = _naive_ratio(Fraction(t + 1), Fraction(t + 1 - k)) if t >= k else Fraction(0)
+            assert type(got) is Fraction and got == want, (t, alpha)
+            if t == 0 or -k >= t > 0:
+                if k == 0:
+                    assert rising_factorial(t, alpha) == 1
+                elif t == 0:
+                    assert rising_factorial(t, alpha) == 0
+                else:
+                    message = f"rising factorial pole at t={t}, alpha={alpha}"
+                    with pytest.raises(DomainError, match=f"^{message}$"):
+                        rising_factorial(t, alpha)
+                continue
+            got = rising_factorial(t, alpha)
+            assert type(got) is Fraction and got == _naive_ratio(Fraction(t + k), Fraction(t))
+
+    def test_exact_quotients_are_factor_products(self):
+        rng = random.Random(12)
+        for _ in range(600):
+            q = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            p = q + rng.randint(-10, 10)
+            low, high = min(p, q), max(p, q)
+            if low.denominator == 1 and low <= 0 < high:
+                with pytest.raises(DomainError, match="^gamma quotient crosses a pole at argument 0$"):
+                    gamma_ratio_mod1(p, q)
+                continue
+            assert gamma_ratio_mod1(p, q) == _naive_ratio(p, q), (p, q)
+            n, nu = rng.randint(1, 40), Fraction(rng.randint(1, 30), rng.randint(1, 6))
+            c = rng.choice([None, nu + rng.randint(-3, 3)])
+            want = _naive_ratio(nu + n - 1, nu) / math.factorial(n - 1)
+            if c is not None and c > 0:
+                want *= _naive_ratio(nu, c)
+                assert normalized_rising(n, nu, c) == want, (n, nu, c)
+            elif c is None:
+                assert normalized_rising(n, nu) == want, (n, nu)
+
+    def test_float_values_are_the_explicit_expressions(self):
+        rng = random.Random(13)
+        for _ in range(600):
+            t = rng.randint(1, 60)
+            alpha = rng.choice([Fraction(rng.randint(-90, 90), rng.choice([2, 3, 8])), rng.uniform(-40, 40)])
+            if float(alpha).is_integer():
+                continue
+            x = t + float(alpha)
+            got = rising_factorial(t, alpha)
+            if x > 0.0:
+                assert got == math.exp(math.lgamma(x) - math.lgamma(float(t))), (t, alpha)
+            else:
+                assert got == math.gamma(x) / math.gamma(float(t)), (t, alpha)
+            y = t + 1 - float(alpha)
+            got = falling_factorial(t, alpha)
+            if y > 0.0:
+                assert got == math.exp(math.lgamma(t + 1.0) - math.lgamma(y)), (t, alpha)
+            else:
+                assert got == math.gamma(t + 1.0) / math.gamma(y), (t, alpha)
+            n, nu = rng.randint(1, 200), rng.choice([Fraction(rng.randint(1, 40), 3), rng.uniform(0.01, 20)])
+            c = rng.choice([None, rng.uniform(0.01, 20)])
+            nu_f = float(nu)
+            c_f = nu_f if c is None else c
+            want = math.exp(math.lgamma(n + nu_f - 1.0) - math.lgamma(float(n)) - math.lgamma(c_f))
+            assert normalized_rising(n, nu, c, backend=Backend.FLOAT) == want, (n, nu, c)
+
+    def test_conventions(self):
+        for t in (0, 1, 7):
+            for zero in (0, Fraction(0), 0.0):
+                assert rising_factorial(t, zero) == 1 and type(rising_factorial(t, zero)) is Fraction
+                assert falling_factorial(t, zero) == 1 and type(falling_factorial(t, zero)) is Fraction
+        for alpha in (2, -2, Fraction(1, 2), -0.5, 3.0):
+            assert rising_factorial(0, alpha) == 0 and type(rising_factorial(0, alpha)) is Fraction
+        assert falling_factorial(3, 5) == 0 and type(falling_factorial(3, 5)) is Fraction
+        assert rising_factorial(3, 2.0) == Fraction(12) and type(rising_factorial(3, 2.0)) is Fraction
+        assert falling_factorial(4, 2.0) == Fraction(12) and type(falling_factorial(4, 2.0)) is Fraction
+
+    def test_messages(self):
+        with pytest.raises(DomainError, match=r"^rising factorial pole at t=2, alpha=-3$"):
+            rising_factorial(2, -3)
+        with pytest.raises(DomainError, match=r"^rising factorial pole at t=1, alpha=-9007199254740993/2$"):
+            rising_factorial(1, Fraction(-(2**53) - 1, 2))
+        with pytest.raises(DomainError, match=r"^falling factorial pole at t=1, alpha=18014398509481985/2$"):
+            falling_factorial(1, Fraction(2**54 + 1, 2))
+        with pytest.raises(DomainError, match=r"^gamma quotient crosses a pole at argument 0$"):
+            gamma_ratio_mod1(Fraction(2), Fraction(-1))
+        with pytest.raises(DomainError, match=r"^gamma quotient crosses a pole at argument 0$"):
+            gamma_ratio_mod1(Fraction(-3), Fraction(1))
+        with pytest.raises(NormalizationError, match=r"^gamma quotient of 3/2 and 4/3 is not rational \(difference 1/6 is not an integer\)$"):
+            gamma_ratio_mod1(Fraction(3, 2), Fraction(4, 3))
+        with pytest.raises(ParameterError, match=r"^gamma argument must be rational on the exact backend, got float 0.5$"):
+            gamma_ratio_mod1(0.5, Fraction(1, 2))
+        with pytest.raises(ParameterError, match=r"^order must be rational on the exact backend, got float 0.5$"):
+            normalized_rising(2, 0.5)
+        with pytest.raises(ParameterError, match=r"^booleans are not exponents$"):
+            rising_factorial(2, True)
+        with pytest.raises(ParameterError, match=r"^unsupported exponent type str$"):
+            falling_factorial(2, "1/2")
+        with pytest.raises(DomainError, match=r"^falling factorial needs an integer t >= 0, got -1$"):
+            falling_factorial(-1, 2)
+
+
+def test_zero_factor_ends_the_exact_product():
+    # 0 = Γ(3)/Γ(3 − 10^12) without multiplying 10^12 factors
+    assert falling_factorial(2, 10**12) == 0
+
+
+def test_float_gamma_overflow_is_a_domain_error():
+    calls = [
+        lambda: rising_factorial(200, -200.5),
+        lambda: falling_factorial(200, 201.5),
+        lambda: rising_factorial(1000, Fraction(1001, 2)),
+        lambda: normalized_rising(2000, Fraction(601, 2), backend=Backend.FLOAT),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="overflows the float range"):
+            call()
 
 
 class TestScalarClose:

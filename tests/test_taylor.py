@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nablafrac import (
+    DomainError,
     EmptyRangeError,
     GridFunction,
     OrderError,
@@ -257,6 +258,12 @@ class TestConstruction:
             rebuilt = construct_from_taylor_data(taylor_seed_of(f, a, m, b))
             assert rebuilt.lo == f.lo and rebuilt.hi == f.hi
             assert rebuilt.values == f.values
+
+    def test_seed_base_right_of_the_grid_is_a_domain_error(self):
+        f = GridFunction(0, tuple(range(6)))
+        for a in (6, 10):
+            with pytest.raises(DomainError, match=rf"^index {a} outside grid domain \[0, 5\]$"):
+                taylor_seed_of(f, a, 2, 3)
 
     def test_direct_evaluation_matches_unroll(self):
         rng = random.Random(31)
