@@ -29,6 +29,7 @@ from .fracops import (
     delta_frac_sum,
     frac_sum,
     frac_sum_grid,
+    kernel_cache_info,
     kernel_weights,
 )
 from .grid import (

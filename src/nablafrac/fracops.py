@@ -8,10 +8,10 @@ makes every identity in this package checkable with zero tolerance.
 Every fractional sum, Caputo-like difference and Taylor remainder in the
 package is the same discrete convolution ``Σ_{i=0}^{k} w[k−i]·v[i]``, and
 :func:`_convolve` is its single implementation.  Exact sums are integer dot
-products: the weights and the values are scaled once (by :mod:`grid`'s helper)
-to integer numerators over their common denominators, and each output is one
-``Fraction``.  Float sums accumulate in ascending ``i`` from the start value,
-which fixes the float results bit for bit.
+products in the scaled form of :mod:`grid` (integer numerators over one common
+denominator; kernel rows are cached scaled), and only a value the caller sees
+becomes a ``Fraction``.  Float sums accumulate in ascending ``i`` from the start
+value, which fixes the float results bit for bit.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
-from .grid import GridFunction, _differences, _scaled
+from .grid import GridFunction, _scalar, _scaled, _scaled_differences, _unscaled
 from .scalars import Backend, Scalar, _cast, parse_order
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "delta_frac_sum",
     "frac_sum",
     "frac_sum_grid",
+    "kernel_cache_info",
     "kernel_weights",
 ]
 
@@ -88,32 +90,59 @@ def as_order(value: OrderInput) -> FractionalOrder:
     return FractionalOrder(value)
 
 
-_KERNEL_CACHE: dict = {}
+_KERNEL_CACHE_ROWS = 512  # the kernel cache keeps the rows of this many (order, backend) pairs
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_ROWS)
+def _kernel_slot(num: int, den: int, exact: bool) -> list:
+    """The cache slot of the order ``num/den`` on one backend."""
+    return [((), None, None)]
+
+
+def _kernel_row(nu, length: int, backend: Backend) -> tuple:
+    """The cached row ``(weights, lcms, numerators)`` of the rational order ν, at least
+    ``length`` long; exact rows carry the prefix lcms of their denominators and their
+    numerators over the last one.  Growth replaces the row whole, for concurrent readers."""
+    slot = _kernel_slot(nu.numerator, nu.denominator, backend is Backend.EXACT)
+    row = slot[0]
+    if len(row[0]) < length:
+        step = _cast(backend, nu)
+        ws = list(row[0]) or [_cast(backend, 1)]
+        while len(ws) < length:
+            n = len(ws)
+            ws.append(ws[-1] * (step + n - 1) / n)
+        lcms = nums = None
+        if backend is Backend.EXACT:
+            lcms = list(accumulate((x.denominator for x in ws), math.lcm))
+            nums = [x.numerator * (lcms[-1] // x.denominator) for x in ws]
+        row = slot[0] = (tuple(ws), lcms, nums)
+    return row
 
 
 def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
-    """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``.
-
-    Rows are memoised per (ν, backend) and grown by the recurrence; extension
-    publishes a fresh tuple, so concurrent readers are safe.
-    """
-    nu = as_order(nu).value
+    """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``, grown by
+    the recurrence and memoised per (ν, backend) in an LRU cache of ``_KERNEL_CACHE_ROWS`` rows."""
+    if type(nu) not in (int, Fraction) or nu <= 0:  # a positive rational skips FractionalOrder
+        nu = as_order(nu).value
     if not isinstance(length, int) or length < 0:
         raise ParameterError(f"length must be a non-negative integer, got {length!r}")
     if length == 0:
         return ()
-    key = (nu, backend)
-    row = _KERNEL_CACHE.get(key, ())
-    if len(row) >= length:
-        return row[:length]
-    step = _cast(backend, nu)
-    ws = list(row) or [_cast(backend, 1)]
-    while len(ws) < length:
-        n = len(ws)
-        ws.append(ws[-1] * (step + n - 1) / n)
-    full = tuple(ws)
-    _KERNEL_CACHE[key] = full
-    return full[:length]
+    return _kernel_row(nu, length, backend)[0][:length]
+
+
+kernel_cache_info = _kernel_slot.cache_info
+
+
+def _scaled_kernel(nu, length: int, backend: Backend) -> tuple:
+    """``kernel_weights(nu, length, backend)`` in the scaled form: exact numerators
+    over the first ``length`` denominators' lcm, cut from the cached row."""
+    weights = kernel_weights(nu, length, backend)
+    _, lcms, nums = _kernel_row(nu, length, backend)
+    if lcms is None:
+        return weights, 1.0
+    d, ratio = lcms[length - 1], lcms[-1] // lcms[length - 1]
+    return (nums[:length] if ratio == 1 else [x // ratio for x in nums[:length]]), d
 
 
 @dataclass(frozen=True)
@@ -136,19 +165,28 @@ class KernelRow:
         return cls(base=base, order=order, weights=kernel_weights(order, length, backend))
 
 
-def _convolve(w: tuple, v: tuple, ks: Sequence[int], acc: Scalar) -> list:
-    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``ks``.
+def _convolve(w: Sequence, v: Sequence, ks: Sequence[int], acc=0) -> list:
+    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``ks``, added in
+    ascending ``i`` from ``acc``: floats, or the integer numerators of exact
+    values in the scaled form."""
+    return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in ks]
 
-    Floats accumulate in ascending ``i`` from ``acc``.  Exact sums scale
-    ``w[:K]`` and ``v[:K]`` (``K = max(ks)+1``) once to integer numerators over
-    their common denominators ``dw`` and ``dv``, and each output is
-    ``acc + Fraction(dot, dw·dv)`` with an integer dot product."""
-    if isinstance(acc, float):
-        return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in ks]
-    size = max(ks) + 1
-    (ws, dw), (vs, dv) = _scaled(w[:size]), _scaled(v[:size])
-    den = dw * dv
-    return [acc + Fraction(reduce(add, map(mul, reversed(ws[: k + 1]), vs)), den) for k in ks]
+
+def _sums(nu, vs: Sequence, dv, ks: Sequence[int], backend: Backend) -> tuple:
+    """Order-ν fractional sums ``Σ_{i=0}^{k} w_ν(k−i+1)·v[i]`` for each ``k``
+    in ``ks``, with ``v = vs/dv`` and the result in the scaled form."""
+    ws, dw = _scaled_kernel(nu, max(ks) + 1, backend)
+    return _convolve(ws, vs, ks), dw * dv
+
+
+def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int) -> tuple:
+    """The checked Caputo-like difference on ``[a, hi]`` in the scaled form."""
+    mu = as_order(mu).require_non_integer("caputo-like nabla difference")
+    m = mu.m
+    if hi < a:
+        raise EmptyRangeError(f"caputo grid needs hi >= a, got hi={hi} < a={a}")
+    f.require_window(a - m, hi)
+    return _sums(m - mu.value, *_scaled_differences(f, a, m, hi), range(hi - a + 1), f.backend)
 
 
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
@@ -158,8 +196,8 @@ def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     if t < a:
         raise EmptyRangeError(f"fractional sum needs t >= a, got t={t} < a={a}")
     f.require_window(a, t)
-    w = kernel_weights(nu, t - a + 1, f.backend)
-    return _convolve(w, f.values[a - f.lo :], (t - a,), f.zero())[0]
+    (dot,), d = _sums(nu.value, *_scaled(f.values[a - f.lo : t + 1 - f.lo]), (t - a,), f.backend)
+    return _scalar(dot, d)
 
 
 def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> GridFunction:
@@ -170,8 +208,8 @@ def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> Gr
     if hi < a:
         raise EmptyRangeError(f"fractional sum grid needs hi >= a, got hi={hi} < a={a}")
     f.require_window(a, hi)
-    w = kernel_weights(nu, hi - a + 1, f.backend)
-    return GridFunction._of(a, tuple(_convolve(w, f.values[a - f.lo :], range(hi - a + 1), f.zero())))
+    scaled = _scaled(f.values[a - f.lo : hi + 1 - f.lo])
+    return GridFunction._of(a, _unscaled(*_sums(nu.value, *scaled, range(hi - a + 1), f.backend)))
 
 
 def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
@@ -194,17 +232,10 @@ def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
     if t < a:
         raise EmptyRangeError(f"caputo difference needs t >= a, got t={t} < a={a}")
     f.require_window(a - m, t)
-    w = kernel_weights(m - mu.value, t - a + 1, f.backend)
-    return _convolve(w, _differences(f, a, m, t), (t - a,), f.zero())[0]
+    (dot,), d = _sums(m - mu.value, *_scaled_differences(f, a, m, t), (t - a,), f.backend)
+    return _scalar(dot, d)
 
 
 def caputo_nabla_grid(f: GridFunction, a: int, mu: OrderInput, hi: int = None) -> GridFunction:
     """Caputo-like difference evaluated at every ``t`` in ``[a, hi]``."""
-    mu = as_order(mu).require_non_integer("caputo-like nabla difference")
-    m = mu.m
-    if hi is None:
-        hi = f.hi
-    if hi < a:
-        raise EmptyRangeError(f"caputo grid needs hi >= a, got hi={hi} < a={a}")
-    f.require_window(a - m, hi)
-    return frac_sum_grid(GridFunction._of(a, _differences(f, a, m, hi)), a, m - mu.value, hi)
+    return GridFunction._of(a, _unscaled(*_caputo(f, a, mu, f.hi if hi is None else hi)))

@@ -5,7 +5,8 @@ A :class:`GridFunction` stores scalar values on a contiguous interval
 and fails loudly instead of zero-padding, so validity windows of the
 representations built on top become checkable preconditions.
 
-Every backward and forward difference in the package is one :func:`_differences` call.
+Every backward and forward difference is one :func:`_scaled_differences` call, in the
+scaled form of :func:`_scaled` (integer numerators over one denominator).
 The rising and falling factorials live with the gamma cores in ``scalars``.
 """
 
@@ -157,28 +158,48 @@ def _check_step_count(k: int) -> None:
         raise OrderError(f"difference order must be a non-negative integer, got {k!r}")
 
 
-def _scaled(values: Sequence) -> tuple:
-    """Exact values as ``(numerators, d)`` over their common denominator ``d``."""
-    d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
+def _scaled(values: Sequence, invert: bool = False) -> tuple:
+    """The scaled form ``(numerators, d)``: exact values (or with ``invert`` their
+    reciprocals) as integers over one denominator ``d``, floats over ``1.0``."""
+    if values and isinstance(values[0], float):
+        return values, 1.0
+    nums, dens = [x.numerator for x in values], [x.denominator for x in values]
+    if invert:
+        nums, dens = dens, nums
+    d = math.lcm(*dens)
+    return [x * (d // y) for x, y in zip(nums, dens)], d
 
 
-def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
-    """``∇^m f`` on ``[lo, hi]``, a window the caller has checked; ``m = 0``
-    gives the value slice itself.  Exact values are m rounds of integer first
-    differences of ``f`` scaled once, float values the binomial sum
-    ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` at each point."""
+def _scalar(num, d) -> Scalar:
+    """The scalar ``num/d`` of the scaled form: a ``Fraction``, or the float itself."""
+    return num if isinstance(d, float) else Fraction(num, d)
+
+
+def _unscaled(nums: Sequence, d) -> tuple:
+    """The scalars of a scaled sequence, one ``_scalar`` each."""
+    return tuple(nums) if isinstance(d, float) else tuple(Fraction(x, d) for x in nums)
+
+
+def _scaled_differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
+    """Scaled ``∇^m f`` on ``[lo, hi]``, a window the caller has checked: m rounds
+    of integer first differences of exact ``f`` scaled once, or at each point the
+    float binomial sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` (m = 0: the slice)."""
     vs = f.values[lo - m - f.lo : hi + 1 - f.lo]
-    if m == 0:
-        return vs
     if f.backend is Backend.FLOAT:
+        if m == 0:
+            return vs, 1.0
         cs = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
         windows = (reversed(vs[i : i + m + 1]) for i in range(len(vs) - m))
-        return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows)
+        return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows), 1.0
     ns, d = _scaled(vs)
     for _ in range(m):
         ns = list(map(sub, ns[1:], ns[:-1]))
-    return tuple(Fraction(x, d) for x in ns)
+    return ns, d
+
+
+def _differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
+    """The values of ``∇^m f`` on ``[lo, hi]``; ``m = 0`` gives the value slice itself."""
+    return _unscaled(*_scaled_differences(f, lo, m, hi)) if m else f.values[lo - f.lo : hi + 1 - f.lo]
 
 
 def _initial_column(f: GridFunction, a: int, m: int) -> tuple:

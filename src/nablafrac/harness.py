@@ -137,7 +137,7 @@ def gen_function(spec: FunctionSpec) -> GridFunction:
         for k in range(spec.m)
     )
     h = tuple(rng.randint(-bound, bound) for _ in range(spec.a + 1, spec.b + 1))
-    return construct_from_taylor_data(TaylorSeed(a=spec.a, m=spec.m, initial=initial, h=h))
+    return construct_from_taylor_data(TaylorSeed._of(spec.a, spec.m, initial, h))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ _MAX_DEN = 8  # largest denominator of a drawn order or parameter
 
 
 def _random_grid(rng: random.Random, lo: int, hi: int) -> GridFunction:
-    return GridFunction(
+    return GridFunction._of(
         lo, tuple(Fraction(rng.randint(-_VALUE_BOUND, _VALUE_BOUND)) for _ in range(lo, hi + 1))
     )
 
@@ -437,8 +437,8 @@ def _trial_opial(rng: random.Random, backend: Backend, opts: dict) -> Inequality
     p = rng.randint(0, p_cap)
     t = a + m + rng.randint(0, 12)
     f = _maybe_float_grid(_spec_function(rng, a, m, t, k0=p), backend)
-    inner = GridFunction(a + 1, tuple(_draw_weight(rng) for _ in range(a + 1, t + 1)))
-    outer = GridFunction(a + m, tuple(_draw_weight(rng, allow_zero=True) for _ in range(a + m, t + 1)))
+    inner = GridFunction._of(a + 1, tuple(_draw_weight(rng) for _ in range(a + 1, t + 1)))
+    outer = GridFunction._of(a + m, tuple(_draw_weight(rng, allow_zero=True) for _ in range(a + m, t + 1)))
     inner = _maybe_float_grid(inner, backend)
     outer = _maybe_float_grid(outer, backend)
     params = OpialParams(
@@ -513,7 +513,7 @@ def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict) -> Ineq
             den = rng.randint(2, 8)
             num = rng.randint((den + 1) // 2, 2 * den)
             vals.append(Fraction(num, den))
-        weights.append(_maybe_float_grid(GridFunction(a + 1, tuple(vals)), backend))
+        weights.append(_maybe_float_grid(GridFunction._of(a + 1, tuple(vals)), backend))
     return avg_sobolev_report(f, a, b, orders, weights, opts.get("r", 2))
 
 

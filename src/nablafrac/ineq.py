@@ -4,9 +4,9 @@ and the averaged multi-order Sobolev variant.
 
 Each evaluator returns an :class:`InequalityReport` carrying the left- and
 right-hand sides, the slack ``rhs − lhs``, and every intermediate component.
-Both backends share one arithmetic path and Python's numeric tower picks the
-type: integral powers of rationals stay exact, fractional powers and roots are
-floats, and a ``Fraction`` that meets a ``float`` is converted with ``float()``.
+Both backends share one arithmetic path over the scaled form of :mod:`grid`: exact
+sums and integral powers run on integer numerators, each value a report shows is one
+``Fraction``, and fractional powers and roots are floats of the ``float()``-rounded rationals.
 Every multi-term sum adds left to right in ascending index order
 (``reduce``/``accumulate``, never the builtin ``sum``, whose float algorithm
 changed in Python 3.12), so float results do not depend on the interpreter.
@@ -25,16 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import add, truediv
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import add, mul
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BoundaryConditionError,
     ParameterError,
     WindowError,
 )
-from .fracops import FractionalOrder, OrderInput, as_order, caputo_nabla_grid, kernel_weights
-from .grid import GridFunction, _differences, _initial_column, nabla
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order, kernel_weights
+from .grid import GridFunction, _initial_column, _scalar, _scaled, _scaled_differences, nabla
 from .scalars import (
     Backend,
     DEFAULT_TOLERANCE,
@@ -81,17 +81,23 @@ def _root(x: Scalar, e: Exponent) -> Scalar:
     return v ** (1.0 / float(e))
 
 
-def _power_sum(values: Iterable[Scalar], e: Exponent) -> Scalar:
-    """``Σ v^e`` over a non-empty sequence, added left to right from the first
-    term.  ``v ** e`` is exact for a rational ``v`` and an integral ``e``, which
-    is raised as an ``int`` to spare ``Fraction``'s dispatch per term, and a
-    float otherwise."""
-    if isinstance(e, Fraction) and e.denominator == 1:
-        e = e.numerator
-    return reduce(add, (v**e for v in values))
+def _powers(nums: Sequence, d, e: Exponent) -> tuple:
+    """``(x/d)^e`` for each ``x`` of a scaled sequence, scaled: integers over ``d^e``
+    for exact values and an integral ``e``, else floats (``x/d`` rounds as ``float()``)."""
+    integral, k = _classify_exponent(e)
+    if integral and not isinstance(d, float):
+        return [x**k for x in nums], d**k
+    return [(x / d) ** (k if integral else e) for x in nums], 1.0
 
 
-def _values(g: GridFunction, lo: int, hi: int) -> tuple:
+def _power_sum(nums: Sequence, d, e: Exponent) -> Scalar:
+    """``Σ (x/d)^e`` over a non-empty scaled sequence, added left to right from the
+    first term: a ``Fraction`` for exact values and an integral ``e``, else a float."""
+    powers, dp = _powers(nums, d, e)
+    return _scalar(reduce(add, powers), dp)
+
+
+def _window(g: GridFunction, lo: int, hi: int) -> tuple:
     """The values of ``g`` on ``[lo, hi]``, a window the caller has checked."""
     return g.values[lo - g.lo : hi + 1 - g.lo]
 
@@ -206,13 +212,14 @@ def g_bound(g: GridFunction, a: int, m: int, t: int, variant: str = "paper") -> 
     if t < a + m:
         raise WindowError(f"g bound needs t >= a+m = {a + m}, got t={t}")
     g.require_window(a + m - 2, t)
-    gt = g.at(t)
-    gt1 = g.at(t - 1)
-    c1 = g.at(a + m - 1)
-    c2 = g.at(a + m - 2)
+    return _g_bounds(g.at(t), g.at(t - 1), g.at(a + m - 1), g.at(a + m - 2))[variant == "tight"]
+
+
+def _g_bounds(gt: Scalar, gt1: Scalar, c1: Scalar, c2: Scalar) -> Tuple[Scalar, Scalar]:
+    """``(paper, tight)`` from the series at ``t``, ``t−1``, ``a+m−1`` and ``a+m−2``."""
     base = 2 * (gt * gt - c1 * c1) + (gt1 * gt1 - c2 * c2) / 2
     cross = 2 * (gt * gt1 - c1 * c2)
-    return base + cross if variant == "paper" else base - cross
+    return base + cross, base - cross
 
 
 @dataclass(frozen=True)
@@ -273,35 +280,42 @@ def opial_report(
     _require_zero_initials(f, a, p, m, policy, "weighted-product bound")
     gamma, delta = params.gamma, params.delta
 
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=t).values
-    w = kernel_weights(mu.value - p, t - a, f.backend)
-    c, d = _values(C, a + 1, t), _values(D, a + m, t)
-    window = range(a + m, t + 1)
+    cn, dc = _caputo(f, a + 1, mu, t)
+    c, d = _window(C, a + 1, t), _window(D, a + m, t)
+    (cs, dcs), (ds, dd) = _scaled(c), _scaled(d)
 
-    g_vals = tuple(accumulate((x * abs(y)) ** delta for x, y in zip(c, cap)))
-    g = GridFunction._of(a + 1, g_vals)
-    # θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ, in ascending τ
-    theta_pow = [_power_sum(map(truediv, w[tp - a - 1 :: -1], c), gamma) for tp in window]
-    k_terms = ((x / y) ** gamma * s for x, y, s in zip(d, c[m - 1 :], theta_pow))
-    k_pow = reduce(add, k_terms, f.zero())
+    # g = Σ (C·|cap|)^δ, and θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ in ascending τ
+    g_pow, dg = _powers([x * abs(y) for x, y in zip(cs, cn)], dcs * dc, delta)
+    g_nums = list(accumulate(g_pow))
+    window = range(m - 1, t - a)
+    if _classify_exponent(gamma)[0] and f.backend is Backend.EXACT:
+        wp, dw = _powers(*_scaled_kernel(mu.value - p, t - a, f.backend), gamma)
+        us, du = _scaled(c, invert=True)
+        up, dup = _powers(us, du, gamma)
+        theta, dtheta = _convolve(wp, up, window), dw * dup
+        kp, dk = _powers([x * u for x, u in zip(ds, us[m - 1 :])], dd * du, gamma)
+        k_pow = Fraction(reduce(add, map(mul, kp, theta)), dk * dtheta)
+    else:
+        w, e = kernel_weights(mu.value - p, t - a, f.backend), _classify_exponent(gamma)[1]
+        theta, dtheta = [reduce(add, ((x / y) ** e for x, y in zip(w[k::-1], c))) for k in window], 1.0
+        k_pow = reduce(add, ((x / y) ** gamma * s for x, y, s in zip(d, c[m - 1 :], theta)), 0)
     k_factor = _root(k_pow, gamma)
-    diffs = _differences(f, a + m, p, t)
-    lhs_terms = (x * abs(v) * abs(y) for x, v, y in zip(d, diffs, cap[m - 1 :]))
-    lhs = reduce(add, lhs_terms, f.zero())
+    pn, dp = _scaled_differences(f, a + m, p, t)
+    lhs_terms = (x * abs(v) * abs(y) for x, v, y in zip(ds, pn, cn[m - 1 :]))
+    lhs = _scalar(reduce(add, lhs_terms, 0), dd * dp * dc)
 
-    bound_paper = g_bound(g, a, m, t, "paper")
-    bound_tight = g_bound(g, a, m, t, "tight")
+    bound_paper, bound_tight = _g_bounds(*(_scalar(g_nums[i], dg) for i in (-1, -2, m - 2, m - 3)))
     chosen = bound_paper if g_variant == "paper" else bound_tight
     rhs = k_factor * _root(chosen, delta)
 
     gamma_norm = math.gamma(float(mu.value - p))
     components: Dict[str, object] = {
-        "theta": [to_float(_root(tpw, gamma)) * gamma_norm for tpw in theta_pow],
-        "g": [to_float(v) for v in g_vals],
+        "theta": [to_float(_root(x / dtheta, gamma)) * gamma_norm for x in theta],
+        "g": [x / dg for x in g_nums],
         "g_bound_paper": to_float(bound_paper),
         "g_bound_tight": to_float(bound_tight),
         "k_factor": to_float(k_factor),
-        "max_caputo": max(to_float(abs(v)) for v in cap),
+        "max_caputo": max(map(abs, cn)) / dc,
     }
     params_echo = {
         "a": a,
@@ -367,12 +381,13 @@ def ostrowski_report(
     _require_zero_initials(f, a, p + 1, m, policy, "average-deviation bound")
 
     count = b - a - m
-    average = reduce(add, _differences(f, a + m + 1, p, b), f.zero()) / count
+    pn, dp = _scaled_differences(f, a + m + 1, p, b)
+    average = _scalar(reduce(add, pn, 0), dp) / count
     base_value = nabla(f, a, p)
     lhs = abs(average - base_value)
 
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
-    max_cap = max(map(abs, cap.values))
+    cn, dc = _caputo(f, a + 1, mu, b)
+    max_cap = _scalar(max(map(abs, cn)), dc)
     coefficient = sum_rising_closed_form(a, m, b, mu.value - p, f.backend) / count
     rhs = coefficient * max_cap
 
@@ -397,17 +412,17 @@ def _kernel_power_sums(
 ) -> Scalar:
     """``Σ_{j=a+m_start}^{b} ( Σ_{τ=a+1}^{j} w(j−τ+1)^γ )^{outer_exp}``.
 
-    The inner sum at ``j`` is ``Σ_{n<j−a} w[n]^γ``.  Exact terms make it a
-    prefix sum, O(N) in all; float terms are added as ``w[j−a−1]^γ, …,
-    w[0]^γ`` (descending n), which fixes their bits."""
+    The inner sum at ``j`` is ``Σ_{n<j−a} w[n]^γ``.  Exact integral powers make
+    it an integer prefix sum, O(N) in all; float terms are added as
+    ``w[j−a−1]^γ, …, w[0]^γ`` (descending n), which fixes their bits."""
     if b < a + m_start:
         raise WindowError(f"kernel power sum needs b >= a+m = {a + m_start}, got b={b}")
-    powers = [x**gamma for x in kernel_weights(order, b - a, backend)]
-    if isinstance(powers[0], Fraction):
-        inner = list(accumulate(powers))[m_start - 1 :]
+    powers, dp = _powers(*_scaled_kernel(order, b - a, backend), gamma)
+    if isinstance(dp, float):
+        inner = [reduce(add, powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1)]
     else:
-        inner = (reduce(add, powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1))
-    return _power_sum(inner, outer_exp)
+        inner = list(accumulate(powers))[m_start - 1 :]
+    return _power_sum(inner, dp, outer_exp)
 
 
 def _norm_report(
@@ -439,16 +454,17 @@ def _norm_report(
     f.require_window(a - m + 1, b)
     _require_zero_initials(f, a, p, m, policy, "norm bound")
 
-    lhs_pow = _power_sum(map(abs, _differences(f, a + m, p, b)), r)
+    pn, dp = _scaled_differences(f, a + m, p, b)
+    lhs_pow = _power_sum(map(abs, pn), dp, r)
     kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, r / gamma, f.backend)
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=b)
-    cap_abs = list(map(abs, cap.values))
-    caputo_norm = _power_sum(cap_abs, delta)
+    cn, dc = _caputo(f, a + 1, mu, b)
+    cap_abs = list(map(abs, cn))
+    caputo_norm = _power_sum(cap_abs, dc, delta)
 
     components: Dict[str, object] = {
         "kernel_factor": to_float(kernel_factor),
         "caputo_norm": to_float(caputo_norm),
-        "max_caputo": max(to_float(v) for v in cap_abs),
+        "max_caputo": max(cap_abs) / dc,
     }
     params_echo = {
         "a": a,
@@ -532,16 +548,16 @@ def avg_sobolev_report(
         if C.backend is not backend:
             raise ParameterError("weight grids must share the function's backend")
         C.require_window(a + 1, b)
-        for tau, v in enumerate(_values(C, a + 1, b), a + 1):
+        for tau, v in enumerate(_window(C, a + 1, b), a + 1):
             if not v > 0:
                 raise ParameterError(f"weights must be positive, got {v} at {tau}")
 
     two = Fraction(2)
-    weights = [_values(C, a + 1, b) for C in weight_grids]
+    weights = [_window(C, a + 1, b) for C in weight_grids]
     b_terms: List[Scalar] = []
     for order, c in zip(orders, weights):
-        cap = caputo_nabla_grid(f, a + 1, order, hi=b).values
-        b_terms.append(reduce(add, (x * v * v for x, v in zip(c, cap)), f.zero()))
+        (cn, dc), (cs, dcs) = _caputo(f, a + 1, order, b), _scaled(c)
+        b_terms.append(_scalar(reduce(add, (x * v * v for x, v in zip(cs, cn)), 0), dcs * dc * dc))
 
     delta_star = max(
         (_kernel_power_sums(o.value, a, o.m, b, two, r / two, backend) ** (two / r) for o in orders),
@@ -549,7 +565,8 @@ def avg_sobolev_report(
     )
     rho_star = max(1 / x for c in weights for x in c)
 
-    lhs_pow = _power_sum(map(abs, _values(f, a + m_top, b)), r)
+    f_nums, df = _scaled_differences(f, a + m_top, 0, b)
+    lhs_pow = _power_sum(map(abs, f_nums), df, r)
     lhs = _root(lhs_pow, r)
 
     mean_b = reduce(add, b_terms) / k

@@ -158,7 +158,8 @@ def _classify_exponent(alpha) -> Tuple[bool, Union[int, Fraction, float]]:
 def _gamma_ratio(p, q, pole: Optional[str]) -> Fraction:
     """Exact ``Γ(p)/Γ(q)`` for an integer ``p − q``: by ``Γ(z+1) = z·Γ(z)`` the
     product of ``min(p, q) + i``, ``i < |p − q|``, inverted when ``p < q``.  A zero
-    factor raises ``DomainError(pole)``, or with ``pole=None`` makes the value 0."""
+    factor raises ``DomainError(pole)``, or with ``pole=None`` makes the value 0;
+    more than 100,000 factors raise a ``DomainError``."""
     steps = int(p - q)
     low = min(p, q)
     num, den = low.numerator, low.denominator
@@ -167,6 +168,8 @@ def _gamma_ratio(p, q, pole: Optional[str]) -> Fraction:
         if pole is not None:
             raise DomainError(pole)
         return Fraction(0)
+    if abs(steps) > 100_000:
+        raise DomainError("exact gamma quotient needs more than 100000 factors")
     product = Fraction(math.prod(factors), den ** abs(steps))
     return product if steps >= 0 else 1 / product
 
@@ -177,13 +180,17 @@ def _float_gamma_ratio(p: float, qs: Tuple[float, ...], pole: Optional[str] = No
     beyond the float range raises a ``DomainError``."""
     try:
         if p > 0.0 and all(q > 0.0 for q in qs):
-            return math.exp(reduce(sub, map(math.lgamma, qs), math.lgamma(p)))
-        return reduce(truediv, map(math.gamma, qs), math.gamma(p))
+            value = math.exp(reduce(sub, map(math.lgamma, qs), math.lgamma(p)))
+        else:  # a denominator gamma that underflows makes the quotient infinite or 1/0
+            value = reduce(truediv, map(math.gamma, qs), math.gamma(p))
+        if math.isinf(value):
+            raise OverflowError
     except ValueError as exc:
         raise DomainError(pole or "gamma quotient crosses a pole") from exc
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         quotient = "/".join(f"Γ({x!r})" for x in (p, *qs))
         raise DomainError(f"gamma quotient {quotient} overflows the float range") from exc
+    return value
 
 
 def rising_factorial(t: int, alpha) -> Scalar:
@@ -252,8 +259,9 @@ def normalized_rising(n: int, nu, c=None, backend: Backend = Backend.EXACT) -> S
     exact = backend is Backend.EXACT
     nu = _as_rational(nu, "order") if exact else float(nu)
     c = nu if c is None else _as_rational(c, "normaliser") if exact else float(c)
-    if nu <= 0 or c <= 0:
+    if not (nu > 0 and c > 0):  # NaN fails too
         raise OrderError("orders must be positive")
     if exact:
         return gamma_ratio_mod1(nu + (n - 1), c) / math.factorial(n - 1)
-    return _float_gamma_ratio(n + nu - 1.0, (float(n), c))
+    x = n + nu - 1.0  # rounds to 0 only for n = 1 and ν ≤ 2^-53, where it is ν itself
+    return _float_gamma_ratio(x if x > 0.0 else nu, (float(n), c))

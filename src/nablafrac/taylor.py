@@ -10,21 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
-from .fracops import (
-    FractionalOrder,
-    OrderInput,
-    _convolve,
-    as_order,
-    caputo_nabla_grid,
-    kernel_weights,
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, _sums, as_order
+from .grid import (
+    GridFunction,
+    _coerce_values,
+    _differences,
+    _initial_column,
+    _scalar,
+    _scaled,
+    _scaled_differences,
+    _unscaled,
 )
-from .grid import GridFunction, _coerce_values, _differences, _initial_column, _scaled
-from .scalars import Backend, Scalar, _cast, normalized_rising
+from .scalars import Backend, Scalar, normalized_rising
 
 __all__ = [
     "TaylorExpansion",
@@ -55,26 +58,19 @@ class TaylorExpansion:
     total: Scalar
 
 
-def _poly_part(initials: tuple, p: int, n: int, backend: Backend) -> Scalar:
-    """Degree-(m−1) polynomial part at ``t = a+n`` (``n ≥ 1``): the sum over
-    ``k = p .. m−1`` of the rising power of n with exponent k−p over (k−p)!
-    times ``initials[k] = ∇^k f(a)``, accumulated in ascending k."""
-    acc = _cast(backend, 0)
-    for k in range(p, len(initials)):
-        acc += kernel_weights(Fraction(k - p + 1), n, backend)[n - 1] * initials[k]
-    return acc
-
-
 def _expand(
     order: Fraction, initials: tuple, source: tuple, p: int, offsets: Sequence[int], backend: Backend
 ) -> list:
     """The expansion core: ``(poly_part, remainder)`` at ``t = a+n`` for each
-    ``n`` in ``offsets``.  ``source[i]`` is the remainder's source value at
-    ``a+1+i`` (∇^m f or the Caputo-like difference) and ``order`` the
-    remainder kernel's order (m, μ or μ−p)."""
-    w = kernel_weights(order, offsets[-1], backend)
-    remainders = _convolve(w, source, [n - 1 for n in offsets], _cast(backend, 0))
-    return [(_poly_part(initials, p, n, backend), rem) for n, rem in zip(offsets, remainders)]
+    ``n`` in ``offsets``.  ``source`` is the scaled remainder source on ``[a+1, …]``
+    (∇^m f or the Caputo-like difference), ``order`` the remainder kernel's order
+    (m, μ or μ−p).  The polynomial part adds ``w_{k−p+1}(n)·∇^k f(a)`` in ascending
+    ``k = p .. m−1``; integer-order kernels are integers, one row per k."""
+    rems, dr = _sums(order, *source, [n - 1 for n in offsets], backend)
+    inits, di = _scaled(initials[p:])
+    rows = [_scaled_kernel(k + 1, offsets[-1], backend)[0] for k in range(len(inits))]
+    polys = (reduce(add, (row[n - 1] * x for row, x in zip(rows, inits)), 0) for n in offsets)
+    return [(_scalar(poly, di), _scalar(rem, dr)) for poly, rem in zip(polys, rems)]
 
 
 def _check_window(f: GridFunction, a: int, m: int, t: int) -> None:
@@ -89,7 +85,7 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
         raise ParameterError(f"integer order m must be >= 1, got {m!r}")
     _check_window(f, a, m, t)
     initials = _initial_column(f, a, m)
-    h = _differences(f, a + 1, m, t)
+    h = _scaled_differences(f, a + 1, m, t)
     [(poly, rem)] = _expand(Fraction(m), initials, h, 0, (t - a,), f.backend)
     return TaylorExpansion(base=a, order=m, p=0, poly_part=poly, remainder=rem, total=poly + rem)
 
@@ -98,7 +94,7 @@ def _series(
     f: GridFunction, a: int, mu: OrderInput, p: Optional[int], t_lo: int, t_hi: int, context: str
 ) -> Tuple[tuple, Dict[int, TaylorExpansion]]:
     """Check the arguments, then return the Caputo-like difference on
-    ``[a+1, t_hi]`` (based at ``a+1``) and the order-μ expansions at every t in
+    ``[a+1, t_hi]`` (based at ``a+1``, in the scaled form) and the order-μ expansions at every t in
     ``[t_lo, t_hi]`` (default ``[a+m, f.hi]``), in ascending t.  ``p = None`` is
     the plain expansion, ``total = poly_part + remainder``; an integer p expands
     ``∇^p f``, with ``total = ∇^p f(t)``."""
@@ -109,7 +105,7 @@ def _series(
     _check_window(f, a, mu.m, t_hi)
     t_lo = a + mu.m if t_lo is None else t_lo
     shift = p or 0
-    cap = caputo_nabla_grid(f, a + 1, mu, hi=t_hi).values
+    cap = _caputo(f, a + 1, mu, t_hi)
     initials = _initial_column(f, a, mu.m)
     offsets = range(t_lo - a, t_hi - a + 1)
     parts = _expand(mu.value - shift, initials, cap, shift, offsets, f.backend)
@@ -204,7 +200,7 @@ def remainder_bound(
     cap, series = _series(f, a, mu, p, t, t, "remainder bound")
     expansion = series[t]
     lhs = abs(expansion.total - expansion.poly_part)
-    max_cap = max(abs(v) for v in cap)
+    max_cap = _scalar(max(map(abs, cap[0])), cap[1])
     target = expansion.order.value - p + 1
     coeff = normalized_rising(t - a, target, target, f.backend)
     return lhs, coeff * max_cap
@@ -231,6 +227,13 @@ class TaylorSeed:
         object.__setattr__(self, "initial", coerced[: len(initial)])
         object.__setattr__(self, "h", coerced[len(initial):])
 
+    @classmethod
+    def _of(cls, a: int, m: int, initial: tuple, h: tuple) -> "TaylorSeed":
+        """An unchecked seed on library-built values of one backend (ints are exact)."""
+        seed = object.__new__(cls)
+        seed.__dict__.update(a=a, m=m, initial=initial, h=h)
+        return seed
+
     @property
     def b(self) -> int:
         return self.a + len(self.h)
@@ -250,10 +253,7 @@ def construct_from_taylor_data(seed: TaylorSeed) -> GridFunction:
     integers over one common denominator on the exact backend.
     """
     a, m = seed.a, seed.m
-    exact = seed.backend is Backend.EXACT
-    values = seed.initial + seed.h
-    if exact:
-        values, d = _scaled(values)
+    values, d = _scaled(seed.initial + seed.h)
     column, forward = values[:m], values[m:]
     tail = []
     for _ in range(m):
@@ -261,10 +261,7 @@ def construct_from_taylor_data(seed: TaylorSeed) -> GridFunction:
         column = list(map(sub, column[:-1], column[1:]))
     for start in reversed(values[:m]):
         forward = list(accumulate(forward, initial=start))[1:]
-    out = tail[::-1] + forward
-    if exact:
-        out = [Fraction(x, d) for x in out]
-    return GridFunction._of(a - m + 1, tuple(out))
+    return GridFunction._of(a - m + 1, _unscaled(tail[::-1] + forward, d))
 
 
 def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
@@ -276,8 +273,11 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
     if t > seed.b:
         raise WindowError(f"t={t} beyond the seeded range [{a + 1}, {seed.b}]")
     n = t - a
-    w = kernel_weights(Fraction(m), n, seed.backend)
-    return _convolve(w, seed.h, (n - 1,), _poly_part(seed.initial, 0, n, seed.backend))[0]
+    values, d = _scaled(seed.initial + seed.h)
+    # the order-m remainder kernel is the row of the last polynomial term
+    rows = [_scaled_kernel(k + 1, n, seed.backend)[0] for k in range(m)]
+    poly = reduce(add, (row[n - 1] * x for row, x in zip(rows, values[:m])), 0)
+    return _scalar(_convolve(rows[-1], values[m:], (n - 1,), poly)[0], d)
 
 
 def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed:

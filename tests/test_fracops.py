@@ -24,6 +24,7 @@ from nablafrac import (
     eval_from_taylor_data,
     frac_sum,
     frac_sum_grid,
+    kernel_cache_info,
     kernel_weights,
     nabla,
     scalar_close,
@@ -456,3 +457,26 @@ class TestNaiveReferenceRationalValues:
             want = naive_sum(m - mu, h, k)
             assert caputo_nabla(f, a, mu, a + k) == want
             assert grid.at(a + k) == want
+
+
+class TestKernelCache:
+    def test_sweep_stays_at_the_cap_and_evicted_rows_rebuild_identically(self):
+        cap = kernel_cache_info().maxsize
+        assert 100 <= cap <= 1000
+        nu = Fraction(7, 3)
+        f = GridFunction(0, tuple(Fraction((-1) ** k * k, k % 5 + 1) for k in range(40)))
+        rows = {b: kernel_weights(nu, 40, b) for b in Backend}
+        sums = {b: frac_sum_grid(f if b is Backend.EXACT else f.as_float(), 0, nu) for b in Backend}
+        for k in range(2000):
+            kernel_weights(Fraction(2 * k + 1, 4002), 4)
+            assert kernel_cache_info().currsize <= cap
+        assert kernel_cache_info().currsize == cap
+        misses = kernel_cache_info().misses
+        for b in Backend:
+            again = kernel_weights(nu, 40, b)
+            assert again == rows[b] and list(map(type, again)) == list(map(type, rows[b]))
+            if b is Backend.FLOAT:
+                assert [x.hex() for x in again] == [x.hex() for x in rows[b]]
+            g = f if b is Backend.EXACT else f.as_float()
+            assert frac_sum_grid(g, 0, nu).values == sums[b].values
+        assert kernel_cache_info().misses == misses + 2

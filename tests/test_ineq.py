@@ -822,3 +822,241 @@ class TestKernelPowerSumOracle:
         assert poincare.rhs / caputo_norm == kernel
         sobolev = sobolev_report(f, a, b, mu, p, 2, 2, 2)
         assert sobolev.components["rhs_squared"] / caputo_norm == kernel
+
+
+def lsum(terms, start=None):
+    """Left-to-right sum from ``start`` (default: the first term)."""
+    terms = list(terms)
+    acc = terms.pop(0) if start is None else start
+    for x in terms:
+        acc += x
+    return acc
+
+
+def naive_nabla(f, s, k):
+    return lsum((-1) ** j * math.comb(k, j) * f.at(s - j) for j in range(k + 1))
+
+
+def naive_caputo(f, lo, mu, hi):
+    """``{τ: Σ_{s=lo}^{τ} w_{m−μ}(τ−s+1)·∇^m f(s)}`` term by term in Fractions."""
+    m = math.ceil(mu)
+    return {
+        tau: lsum(
+            (product_weight(m - mu, tau - s + 1) * naive_nabla(f, s, m) for s in range(lo, tau + 1)),
+            Fraction(0),
+        )
+        for tau in range(lo, hi + 1)
+    }
+
+
+def naive_power(x, e):
+    """``x**e`` the way a report raises a rational: exact for an integral
+    exponent, else ``float(x) ** float(e)``."""
+    e = Fraction(e) if not isinstance(e, float) else e
+    if isinstance(e, Fraction) and e.denominator == 1:
+        return x ** int(e)
+    return float(x) ** float(e)
+
+
+def naive_root(x, e):
+    if e == 1:
+        return x
+    v = float(x)
+    return float("nan") if v < 0.0 else v ** (1.0 / float(e))
+
+
+def naive_kernel_sum(order, a, m, b, gamma, outer):
+    """``Σ_j (Σ_τ w(j−τ+1)^γ)^outer``; float inner sums add in descending n."""
+    powers = [naive_power(product_weight(order, n), gamma) for n in range(1, b - a + 1)]
+    inner = []
+    for j in range(a + m, b + 1):
+        terms = powers[: j - a]
+        inner.append(lsum(terms) if isinstance(powers[0], Fraction) else lsum(terms[::-1]))
+    return lsum(naive_power(x, outer) for x in inner)
+
+
+def assert_same_report(report, lhs, rhs, components, squared=None):
+    slack = rhs - lhs
+    assert (report.lhs, report.rhs, report.slack) == (lhs, rhs, slack)
+    assert type(report.lhs) is type(lhs) and type(report.rhs) is type(rhs)
+    want = dict(components)
+    if squared is not None and all(isinstance(v, Fraction) for v in squared):
+        want.update(
+            lhs_squared=squared[0], rhs_squared=squared[1], exact_holds=int(squared[0] <= squared[1])
+        )
+    elif isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+        want["exact_holds"] = int(lhs <= rhs)
+    got = {k: v for k, v in report.components.items() if k not in ("prefactor", "prefactor_expected")}
+    assert got == want
+
+
+class TestExactReportOracle:
+    """Each exact report against naive per-term ``Fraction`` arithmetic from
+    product-form weights: equal ``lhs``, ``rhs``, ``slack``, certificates and
+    float components, bit for bit."""
+
+    @staticmethod
+    def weights(rng, lo, hi, zero_ok=False):
+        vals = [Fraction(rng.randint(0 if zero_ok else 1, 8), rng.randint(1, 8)) for _ in range(lo, hi + 1)]
+        return GridFunction(lo, tuple(vals))
+
+    @staticmethod
+    def opial_oracle(f, a, t, mu, p, gamma, delta, C, D, variant="paper"):
+        m = math.ceil(mu)
+        cap = naive_caputo(f, a + 1, mu, t)
+        g, acc = {}, None
+        for tau in range(a + 1, t + 1):
+            term = naive_power(C.at(tau) * abs(cap[tau]), delta)
+            acc = term if acc is None else acc + term
+            g[tau] = acc
+        theta_pow = [
+            lsum(naive_power(product_weight(mu - p, tp - tau + 1) / C.at(tau), gamma) for tau in range(a + 1, tp + 1))
+            for tp in range(a + m, t + 1)
+        ]
+        k_pow = lsum(
+            (naive_power(D.at(tp) / C.at(tp), gamma) * s for tp, s in zip(range(a + m, t + 1), theta_pow)),
+            Fraction(0),
+        )
+        lhs = lsum(
+            (D.at(tp) * abs(naive_nabla(f, tp, p)) * abs(cap[tp]) for tp in range(a + m, t + 1)), Fraction(0)
+        )
+        gt, gt1, c1, c2 = g[t], g[t - 1], g[a + m - 1], g[a + m - 2]
+        base = 2 * (gt * gt - c1 * c1) + (gt1 * gt1 - c2 * c2) / 2
+        cross = 2 * (gt * gt1 - c1 * c2)
+        paper, tight = base + cross, base - cross
+        chosen = paper if variant == "paper" else tight
+        k_factor = naive_root(k_pow, gamma)
+        rhs = k_factor * naive_root(chosen, delta)
+        norm = math.gamma(float(mu - p))
+        components = {
+            "theta": [float(naive_root(s, gamma)) * norm for s in theta_pow],
+            "g": [float(v) for v in g.values()],
+            "g_bound_paper": float(paper),
+            "g_bound_tight": float(tight),
+            "k_factor": float(k_factor),
+            "max_caputo": max(float(abs(v)) for v in cap.values()),
+        }
+        squared = (lhs * lhs, k_pow * chosen) if gamma == delta == 2 else None
+        return lhs, rhs, components, squared
+
+    @pytest.mark.parametrize("gamma, delta", [(2, 2), (3, Fraction(3, 2)), (Fraction(3, 2), 3)])
+    def test_opial(self, gamma, delta):
+        rng = random.Random(23)
+        for trial in range(12):
+            p = trial % 3
+            mu = Fraction(rng.randint(17, 23), 8)
+            a, m = rng.randint(0, 2), 3
+            t = a + m + rng.randint(0, 7)
+            f = admissible(rng.getrandbits(63), a, m, t + 1, k0=p)
+            C = self.weights(rng, a + 1, t)
+            D = self.weights(rng, a + m, t, zero_ok=True)
+            if trial % 4 == 0:
+                D = GridFunction(a + m, tuple(Fraction(0) for _ in range(a + m, t + 1)))
+            variant = ("paper", "tight")[trial % 2]
+            params = OpialParams(mu=mu, p=p, gamma=gamma, delta=delta, inner_weights=C, outer_weights=D)
+            report = opial_report(f, a, t, params, variant)
+            assert_same_report(report, *self.opial_oracle(f, a, t, mu, p, gamma, delta, C, D, variant))
+
+    def test_opial_25(self):
+        rng = random.Random(29)
+        for _ in range(8):
+            t = 3 + rng.randint(0, 10)
+            f = admissible(rng.getrandbits(63), 0, 3, t + 1, k0=0)
+            report = opial_corollary_25(f, t)
+            ones = unit_weights(1, t), unit_weights(3, t)
+            assert_same_report(report, *self.opial_oracle(f, 0, t, FIVE_HALVES, 0, 2, 2, *ones))
+
+    @staticmethod
+    def norm_oracle(f, a, b, mu, p, gamma, delta, r):
+        m = math.ceil(mu)
+        poincare = r is None
+        r = delta if poincare else r
+        lhs_pow = lsum(naive_power(abs(naive_nabla(f, j, p)), r) for j in range(a + m, b + 1))
+        kernel = naive_kernel_sum(mu - p, a, m, b, gamma, Fraction(r) / gamma if not isinstance(r, float) else r / gamma)
+        cap = naive_caputo(f, a + 1, mu, b)
+        cap_norm = lsum(naive_power(abs(v), delta) for v in cap.values())
+        components = {
+            "kernel_factor": float(kernel),
+            "caputo_norm": float(cap_norm),
+            "max_caputo": max(float(abs(v)) for v in cap.values()),
+        }
+        if poincare:
+            return lhs_pow, kernel * cap_norm, components, None
+        squared = (lhs_pow, kernel * cap_norm) if gamma == delta == r == 2 else None
+        return naive_root(lhs_pow, r), naive_root(kernel, r) * naive_root(cap_norm, delta), components, squared
+
+    @staticmethod
+    def shifted_instance(rng, k0_of):
+        m = rng.randint(1, 3)
+        mu = Fraction(rng.randint((m - 1) * 8 + 1, m * 8 - 1), 8)
+        p = rng.randint(0, m - 1)
+        a = rng.randint(0, 2)
+        b = a + m + 1 + rng.randint(0, 7)
+        return admissible(rng.getrandbits(63), a, m, b, k0=k0_of(p, m)), a, b, mu, p
+
+    @pytest.mark.parametrize("gamma, delta", [(2, 2), (3, Fraction(3, 2))])
+    def test_poincare(self, gamma, delta):
+        rng = random.Random(31)
+        for _ in range(10):
+            f, a, b, mu, p = self.shifted_instance(rng, lambda p, m: p)
+            report = poincare_report(f, a, b, mu, p, gamma, delta)
+            assert_same_report(report, *self.norm_oracle(f, a, b, mu, p, gamma, delta, None))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 2.5])
+    def test_sobolev(self, r):
+        rng = random.Random(37)
+        for _ in range(10):
+            f, a, b, mu, p = self.shifted_instance(rng, lambda p, m: p)
+            report = sobolev_report(f, a, b, mu, p, 2, 2, r)
+            assert_same_report(report, *self.norm_oracle(f, a, b, mu, p, Fraction(2), Fraction(2), r))
+
+    def test_ostrowski(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            f, a, b, mu, p = self.shifted_instance(rng, lambda p, m: min(p + 1, m))
+            m = math.ceil(mu)
+            report = ostrowski_report(f, a, b, mu, p)
+            count = b - a - m
+            average = lsum((naive_nabla(f, j, p) for j in range(a + m + 1, b + 1)), Fraction(0)) / count
+            base_value = naive_nabla(f, a, p)
+            max_cap = max(abs(v) for v in naive_caputo(f, a + 1, mu, b).values())
+            coefficient = lsum(product_weight(mu - p + 1, n) for n in range(m + 1, b - a + 1)) / count
+            components = {
+                "average": float(average),
+                "base_value": float(base_value),
+                "coefficient": float(coefficient),
+                "max_caputo": float(max_cap),
+            }
+            assert_same_report(report, abs(average - base_value), coefficient * max_cap, components)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_avg_sobolev(self, r):
+        rng = random.Random(43)
+        for _ in range(8):
+            orders = [Fraction(rng.randint(9, 15), 8), Fraction(rng.randint(17, 23), 8)]
+            a = rng.randint(0, 2)
+            b = a + 3 + 1 + rng.randint(0, 7)
+            f = admissible(rng.getrandbits(63), a, 3, b, k0=0)
+            weights = [self.weights(rng, a + 1, b) for _ in orders]
+            report = avg_sobolev_report(f, a, b, orders, weights, r)
+
+            two = Fraction(2)
+            b_terms = []
+            for mu, C in zip(orders, weights):
+                cap = naive_caputo(f, a + 1, mu, b)
+                b_terms.append(lsum((C.at(tau) * cap[tau] * cap[tau] for tau in range(a + 1, b + 1)), Fraction(0)))
+            stars = [
+                naive_kernel_sum(mu, a, math.ceil(mu), b, two, Fraction(r) / two) ** (two / r) for mu in orders
+            ]
+            delta_star = max(stars, key=float)
+            rho_star = max(1 / C.at(tau) for C in weights for tau in range(a + 1, b + 1))
+            lhs_pow = lsum(naive_power(abs(f.at(tau)), r) for tau in range(a + 3, b + 1))
+            rhs_sq = delta_star * rho_star * (lsum(b_terms) / len(orders))
+            components = {
+                "b_terms": [float(v) for v in b_terms],
+                "delta_star": float(delta_star),
+                "rho_star": float(rho_star),
+            }
+            squared = (lhs_pow, rhs_sq) if r == 2 else None
+            lhs, rhs = naive_root(lhs_pow, r), naive_root(rhs_sq, two)
+            assert_same_report(report, lhs, rhs, components, squared)

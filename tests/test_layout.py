@@ -124,3 +124,30 @@ def test_reimport_frees_the_previous_package():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["freed"]
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_one_convolution_implementation():
+    # every fractional sum, Caputo difference and Taylor remainder is one
+    # fracops._convolve call: the dot idiom map(mul, reversed(...), ...) lives there only
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "fracops.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_convolve":
+                    allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map"):
+                continue
+            if len(node.args) < 2 or _name(node.args[0]) != "mul":
+                continue
+            head = node.args[1]
+            if isinstance(head, ast.Call) and _name(head.func) == "reversed":
+                if id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} convolves outside fracops._convolve")
+    assert offenders == []

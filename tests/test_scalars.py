@@ -246,6 +246,38 @@ def test_float_gamma_overflow_is_a_domain_error():
             call()
 
 
+def test_float_denominator_underflow_is_an_overflow_error():
+    # Γ(3+1−α) underflows to 0 or to a subnormal, so the quotient is infinite
+    for alpha in (300.5, 180.5):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            falling_factorial(3, alpha)
+
+
+def test_float_normalized_rising_rejects_a_nan_order_or_normaliser():
+    nan = float("nan")
+    for args in ((2, nan), (2, 1.5, nan), (2, nan, 1.5)):
+        with pytest.raises(OrderError, match="orders must be positive"):
+            normalized_rising(*args, backend=Backend.FLOAT)
+
+
+def test_first_weight_of_a_tiny_float_order_is_one():
+    # 1 + ν − 1.0 rounds to 0 for ν ≤ 2^-53, which used to raise the pole error
+    for nu in (1e-300, 2.0**-53, 2.0**-54, 5e-324):
+        assert normalized_rising(1, nu, backend=Backend.FLOAT) == 1.0
+
+
+def test_exact_gamma_quotient_refuses_too_many_factors():
+    calls = [
+        lambda: rising_factorial(5, 1e308),
+        lambda: falling_factorial(3, -1e308),
+        lambda: rising_factorial(1, 10**6),
+        lambda: gamma_ratio_mod1(Fraction(2 * 10**6 + 1, 2), Fraction(1, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="more than 100000 factors"):
+            call()
+
+
 class TestScalarClose:
     def test_exact_pair_compares_equal(self):
         assert scalar_close(Fraction(15, 8), Fraction(15, 8))
