@@ -97,7 +97,10 @@ class GridFunction:
     def _of(cls, lo: int, values: tuple) -> "GridFunction":
         """A grid on a library-built tuple of one backend's values, unchecked."""
         grid = object.__new__(cls)
-        grid.__dict__.update(lo=lo, values=values)
+        # Set as the constructor does: writing through ``__dict__`` would give the
+        # instance a dict of its own and slow every attribute read on it.
+        object.__setattr__(grid, "lo", lo)
+        object.__setattr__(grid, "values", values)
         return grid
 
     @property
@@ -150,7 +153,15 @@ class GridFunction:
 
     @classmethod
     def constant(cls, lo: int, hi: int, value: Scalar) -> "GridFunction":
-        return cls(lo, tuple(value for _ in range(lo, hi + 1)))
+        """``value`` on ``[lo, hi]``, checked once and raising what the constructor
+        would for ``hi − lo + 1`` copies."""
+        points = range(lo, hi + 1)
+        if not isinstance(lo, int) or isinstance(lo, bool):
+            raise ParameterError("lo must be an integer")
+        if not points:
+            raise ParameterError("a grid function needs at least one value")
+        (value,) = _coerce_values((value,))
+        return cls._of(lo, (value,) * len(points))
 
 
 def _check_step_count(k: int) -> None:

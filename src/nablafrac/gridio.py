@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from typing import IO, Union
 
@@ -49,16 +50,29 @@ def format_scalar(value: Scalar) -> str:
     return f"{value:.17g}"
 
 
+# The text ``format_scalar`` writes for every rational: an ASCII ``p`` or ``p/q``.
+_P_OVER_Q = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
 def parse_scalar(text: str, backend: Backend = Backend.EXACT) -> Scalar:
-    """Parse a decimal or ``p/q`` value into the requested backend."""
+    """Parse a decimal or ``p/q`` value into the requested backend.
+
+    ASCII ``p`` and ``p/q`` skip the ``Fraction`` text parser; every other form
+    goes to it.  The float value is ``p / q``, correctly rounded, which is what
+    ``float(Fraction(text))`` gives."""
     text = text.strip()
+    lane = _P_OVER_Q(text)
     try:
-        exact = Fraction(text)
+        if lane is None:
+            exact = Fraction(text)
+            num, den = exact.numerator, exact.denominator
+        else:
+            num, den = int(lane[1]), int(lane[2] or 1)
+        return num / den if backend is Backend.FLOAT else Fraction(num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed value {text!r}") from exc
-    if backend is Backend.FLOAT:
-        return _finite_float(exact)
-    return exact
+    except OverflowError as exc:
+        raise ParseError("grid value is out of the float range") from exc
 
 
 def _finite_float(value) -> float:
@@ -101,8 +115,7 @@ def to_json(obj) -> str:
 def read_grid_csv(source: Union[str, IO[str]], backend: Backend = Backend.EXACT) -> GridFunction:
     """Read a ``t,value`` CSV into a grid function."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return read_grid_csv(handle, backend)
+        return _read_path(read_grid_csv, source, backend, newline="")
     reader = csv.reader(source)
     rows = list(reader)
     if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:
@@ -110,7 +123,7 @@ def read_grid_csv(source: Union[str, IO[str]], backend: Backend = Backend.EXACT)
     points = []
     values = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():
             continue
         if len(row) != 2:
             raise ParseError(f"line {lineno}: expected two columns, got {len(row)}")
@@ -129,7 +142,16 @@ def read_grid_csv(source: Union[str, IO[str]], backend: Backend = Backend.EXACT)
     for prev, nxt in zip(points, points[1:]):
         if nxt != prev + 1:
             raise DomainError(f"grid misses index {prev + 1} (next row has t={nxt})")
-    return GridFunction(points[0], tuple(values))
+    return GridFunction._of(points[0], tuple(values))
+
+
+def _read_path(read, path: str, backend: Backend, newline=None) -> GridFunction:
+    """``read`` on the UTF-8 text of the file at ``path``."""
+    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        try:
+            return read(handle, backend)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"grid file {path!r} is not valid UTF-8: {exc.reason}") from exc
 
 
 def write_grid_csv(f: GridFunction, sink: Union[str, IO[str]]) -> None:
@@ -146,8 +168,7 @@ def write_grid_csv(f: GridFunction, sink: Union[str, IO[str]]) -> None:
 def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT) -> GridFunction:
     """Read ``{"lo": int, "values": [...]}`` into a grid function."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_grid_json(handle, backend)
+        return _read_path(read_grid_json, source, backend)
     try:
         payload = json.load(source)
     except json.JSONDecodeError as exc:
@@ -175,7 +196,11 @@ def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT
             values.append(_finite_float(v))
         else:
             raise ParseError(f"unsupported grid value {v!r}")
-    return GridFunction(lo, tuple(values))
+    if isinstance(lo, bool):
+        raise ParameterError("lo must be an integer")
+    if not values:
+        raise ParameterError("a grid function needs at least one value")
+    return GridFunction._of(lo, tuple(values))
 
 
 def write_grid_json(f: GridFunction, sink: Union[str, IO[str]]) -> None:

@@ -59,6 +59,31 @@ class TestGridFunction:
         with pytest.raises(ParameterError):
             GridFunction(0, ())
 
+    @pytest.mark.parametrize(
+        "lo, hi, value",
+        [
+            (0, 3, 2),
+            (-1, 1, 0.5),
+            (0, 3, True),
+            (0, 3, "1"),
+            (0, 3, None),
+            (2, 1, Fraction(1)),
+            (2, 1, True),
+            (True, 3, 1),
+            (1.5, 3, 1),
+        ],
+    )
+    def test_constant_matches_the_constructor(self, lo, hi, value):
+        def outcome(build):
+            try:
+                g = build()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return g.lo, g.values, tuple(map(type, g.values))
+
+        copies = lambda: GridFunction(lo, tuple(value for _ in range(lo, hi + 1)))
+        assert outcome(lambda: GridFunction.constant(lo, hi, value)) == outcome(copies)
+
     def test_as_float_conversion(self):
         f = GridFunction(0, (Fraction(1, 2), Fraction(3, 4))).as_float()
         assert f.backend is Backend.FLOAT
@@ -86,6 +111,7 @@ class TestLibraryBuiltGrids:
             construct_from_taylor_data(seed),
             f.as_float(),
             GridFunction(0, (1, 2)).as_float(),
+            GridFunction.constant(-1, 4, 1 if backend is Backend.EXACT else 1.0),
         ]
 
     @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])

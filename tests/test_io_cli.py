@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablafrac import (
     Backend,
     DomainError,
     GridFunction,
+    ParameterError,
     ParseError,
     run_identity_suite,
     run_inequality_suite,
@@ -52,6 +56,79 @@ class TestScalarFormatting:
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):
             parse_scalar("1/2/3")
+
+
+def fraction_rule(text, backend):
+    """The reference rule for ``parse_scalar``: ``Fraction`` of the stripped text,
+    then ``float()`` on the float backend, with the same error mapping."""
+    text = text.strip()
+    try:
+        exact = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed value {text!r}")
+    if backend is Backend.EXACT:
+        return exact
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ParseError("grid value is out of the float range")
+
+
+def outcome(parse, text, backend):
+    """Value, type and sign of zero, or the exception class and message."""
+    try:
+        value = parse(text, backend)
+    except Exception as exc:
+        return type(exc), str(exc)
+    sign = math.copysign(1.0, value) if isinstance(value, float) else None
+    return type(value), value, sign
+
+
+padding = st.sampled_from(["", " ", "\t", " \n "])
+digit_runs = st.one_of(
+    st.text("0123456789", min_size=1, max_size=25),
+    st.text("0", min_size=1, max_size=4),
+    st.text("0123456789", min_size=300, max_size=420),
+)
+lane_texts = st.builds(
+    "{}{}{}{}{}".format,
+    padding,
+    st.sampled_from(["", "-", "+"]),
+    digit_runs,
+    st.one_of(st.just(""), digit_runs.map("/{}".format)),
+    padding,
+)
+
+LANE_EDGES = [
+    "-0",
+    "-0/5",
+    "+0/1",
+    "3/0",
+    "-3/000",
+    "007/0003",
+    "  -15/8\t",
+    "1" + "0" * 400 + "/3",
+    "-1" + "0" * 400 + "/7",
+    "-1/1" + "0" * 400,
+    "9" * 5000,
+    "1/" + "9" * 5000,
+]
+FRACTION_ONLY = ["1_000", "３/４", "1 / 2", ".5", "1e5", "-2.5e-3", "inf", "nan", "1/2/3", "", "/", "5/-3"]
+
+
+class TestParseScalarAgainstFraction:
+    """``parse_scalar`` returns what ``Fraction(text)`` (then ``float()``) gives,
+    bit for bit, and fails with the same class and message."""
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    @pytest.mark.parametrize("text", LANE_EDGES + FRACTION_ONLY)
+    def test_fixed_texts(self, text, backend):
+        assert outcome(parse_scalar, text, backend) == outcome(fraction_rule, text, backend)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lane_texts, st.sampled_from(list(Backend)))
+    def test_generated_p_over_q_texts(self, text, backend):
+        assert outcome(parse_scalar, text, backend) == outcome(fraction_rule, text, backend)
 
 
 class TestGridCsv:
@@ -118,6 +195,33 @@ class TestGridJson:
     def test_csv_values_must_be_finite(self):
         with pytest.raises(ParseError, match="line 3"):
             read_grid_csv(io.StringIO("t,value\n0,1\n1,1e400\n"), Backend.FLOAT)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"lo": true, "values": [1]}', "lo must be an integer"),
+            ('{"lo": 0, "values": []}', "a grid function needs at least one value"),
+            ('{"lo": false, "values": []}', "lo must be an integer"),
+        ],
+    )
+    def test_constructor_checks_kept(self, payload, message):
+        for backend in Backend:
+            with pytest.raises(ParameterError, match=message):
+                read_grid_json(io.StringIO(payload), backend)
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_readers_equal_public_construction(self, backend):
+        text = "t,value\n-2,-7/3\n-1, 0 \n0,5\n1,0.125\n2,-0/4\n"
+        grids = [
+            read_grid_csv(io.StringIO(text), backend),
+            read_grid_json(io.StringIO('{"lo": -2, "values": ["-7/3", 0, 5, "0.125", "-0/4"]}'), backend),
+        ]
+        kind = Fraction if backend is Backend.EXACT else float
+        for g in grids:
+            public = GridFunction(g.lo, g.values)
+            assert g == public and hash(g) == hash(public)
+            assert all(type(v) is kind for v in g.values)
+        assert grids[0] == grids[1]
 
     def test_dispatcher_by_extension_and_format(self, tmp_path):
         f = GridFunction(0, (Fraction(1), Fraction(2)))
@@ -423,6 +527,19 @@ class TestCli:
         argv = ["eval-sum", "--input", str(path), "--a", "0", "--nu", "1/2", "--t", "0"]
         assert main(argv + ["--backend", "float"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "name, body",
+        [("bad.csv", b"t,value\n0,1\xff\n"), ("bad.json", b'{"lo": 0, "values": ["\xff"]}')],
+        ids=["csv", "json"],
+    )
+    def test_grid_file_not_utf8_is_exit_2(self, tmp_path, capsys, name, body):
+        path = tmp_path / name
+        path.write_bytes(body)
+        argv = ["eval-sum", "--input", str(path), "--a", "0", "--nu", "1/2", "--t", "1"]
+        for backend in ("exact", "float"):
+            assert main(argv + ["--backend", backend]) == 2
+            assert capsys.readouterr().err.startswith(f"error: grid file {str(path)!r} is not valid UTF-8")
 
     def test_cli_output_deterministic(self, capsys):
         argv = ["verify", "duality", "--trials", "8", "--seed", "5", "--format", "json"]
