@@ -2,16 +2,17 @@
 
 All kernels are built from the normalised weights ``w_ν(n)`` produced by
 :func:`kernel_weights`: ``w_ν(1) = 1`` and ``w_ν(n+1) = w_ν(n)·(ν+n−1)/n``.
-On the exact backend the recurrence runs in big rationals, which is what
-makes every identity in this package checkable with zero tolerance.
+On the exact backend the recurrence runs in integers, which is what makes
+every identity in this package checkable with zero tolerance.
 
 Every fractional sum, Caputo-like difference and Taylor remainder in the
 package is the same discrete convolution ``Σ_{i=0}^{k} w[k−i]·v[i]``, and
 :func:`_convolve` is its single implementation.  Exact sums are integer dot
 products in the scaled form of :mod:`grid` (integer numerators over one common
-denominator; kernel rows are cached scaled), and only a value the caller sees
-becomes a ``Fraction``.  Float sums accumulate in ascending ``i`` from the start
-value, which fixes the float results bit for bit.
+denominator; kernel rows are cached scaled), many outputs at a time when the
+values are small, and only a value the caller sees becomes a ``Fraction``.
+Float sums accumulate in ascending ``i`` from the start value, which fixes the
+float results bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
 from .grid import GridFunction, _scalar, _scaled, _scaled_differences, _unscaled
-from .scalars import Backend, Scalar, _cast, parse_order
+from .scalars import Backend, Scalar, parse_order
 
 __all__ = [
     "FractionalOrder",
@@ -96,39 +97,74 @@ _KERNEL_CACHE_ROWS = 512  # the kernel cache keeps the rows of this many (order,
 @lru_cache(maxsize=_KERNEL_CACHE_ROWS)
 def _kernel_slot(num: int, den: int, exact: bool) -> list:
     """The cache slot of the order ``num/den`` on one backend."""
-    return [((), None, None)]
+    return [([1], [1], (1, 1, 1), (Fraction(1),)) if exact else ((1.0,),)]
 
 
-def _kernel_row(nu, length: int, backend: Backend) -> tuple:
-    """The cached row ``(weights, lcms, numerators)`` of the rational order ν, at least
-    ``length`` long; exact rows carry the prefix lcms of their denominators and their
-    numerators over the last one.  Growth replaces the row whole, for concurrent readers."""
-    slot = _kernel_slot(nu.numerator, nu.denominator, backend is Backend.EXACT)
+def _kernel_row(nu, length: int, exact: bool) -> list:
+    """The cache slot of the rational order ν = p/q with its row grown to at least
+    ``length`` weights.  A float row is ``(weights,)``, grown by the float recurrence.
+    An exact row is ``(lcms, nums, last, fractions)``: the prefix lcms of the reduced
+    denominators, the numerators over the last lcm, the last weight as a reduced
+    ``(num, den)`` with ``lcm // den``, and a prefix of the weights as ``Fraction``s,
+    grown by :func:`kernel_weights` alone.  The integers grow against the small
+    factors ``p+q(n−1)`` and ``qn`` of ``w(n+1) = w(n)·(p+q(n−1))/(qn)``, so every
+    gcd and division has one small operand.  Growth replaces the row whole, for
+    concurrent readers."""
+    p, q = nu.numerator, nu.denominator
+    slot = _kernel_slot(p, q, exact)
     row = slot[0]
-    if len(row[0]) < length:
-        step = _cast(backend, nu)
-        ws = list(row[0]) or [_cast(backend, 1)]
-        while len(ws) < length:
-            n = len(ws)
+    start = len(row[0])
+    if start >= length:
+        return slot
+    if not exact:
+        ws, step = list(row[0]), float(nu)
+        for n in range(start, length):
             ws.append(ws[-1] * (step + n - 1) / n)
-        lcms = nums = None
-        if backend is Backend.EXACT:
-            lcms = list(accumulate((x.denominator for x in ws), math.lcm))
-            nums = [x.numerator * (lcms[-1] // x.denominator) for x in ws]
-        row = slot[0] = (tuple(ws), lcms, nums)
-    return row
+        slot[0] = (tuple(ws),)
+        return slot
+    lcms, nums, (a, b, ratio), fractions = row
+    lcms, big = list(lcms), lcms[-1]
+    for n in range(start, length):
+        x, y = p + q * (n - 1), q * n
+        g = math.gcd(x, y)
+        x, y = x // g, y // g
+        g1, g2 = math.gcd(a, y), math.gcd(x, b)
+        a, y, c = a // g1 * (x // g2), y // g1, b // g2
+        # the new den c·y with c | big: lcm(big, c·y) = big·y / gcd(big/c, y)
+        g = math.gcd(ratio * g2, y)
+        b, big, ratio = c * y, big * (y // g), ratio * g2 // g
+        lcms.append(big)
+    scale = big // lcms[start - 1]
+    nums = [x * scale for x in nums]
+    for n in range(start, length):
+        nums.append(nums[-1] * (p + q * (n - 1)) // (q * n))
+    slot[0] = (lcms, nums, (a, b, ratio), fractions)
+    return slot
 
 
 def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
     """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``, grown by
-    the recurrence and memoised per (ν, backend) in an LRU cache of ``_KERNEL_CACHE_ROWS`` rows."""
+    the recurrence and memoised per (ν, backend) in an LRU cache of ``_KERNEL_CACHE_ROWS`` rows;
+    exact weights become ``Fraction``s here, on the first request for them."""
     if type(nu) not in (int, Fraction) or nu <= 0:  # a positive rational skips FractionalOrder
         nu = as_order(nu).value
     if not isinstance(length, int) or length < 0:
         raise ParameterError(f"length must be a non-negative integer, got {length!r}")
     if length == 0:
         return ()
-    return _kernel_row(nu, length, backend)[0][:length]
+    exact = backend is Backend.EXACT
+    slot = _kernel_row(nu, length, exact)
+    row = slot[0]
+    if not exact:
+        return row[0][:length]
+    lcms, nums, last, fractions = row
+    if len(fractions) < length:
+        # products with the small factors, whose gcds stay cheap
+        p, q = nu.numerator, nu.denominator
+        steps = (Fraction(p + q * (n - 1), q * n) for n in range(len(fractions), len(nums)))
+        fractions += tuple(accumulate(steps, mul, initial=fractions[-1]))[1:]
+        slot[0] = (lcms, nums, last, fractions)
+    return fractions[:length]
 
 
 kernel_cache_info = _kernel_slot.cache_info
@@ -137,10 +173,11 @@ kernel_cache_info = _kernel_slot.cache_info
 def _scaled_kernel(nu, length: int, backend: Backend) -> tuple:
     """``kernel_weights(nu, length, backend)`` in the scaled form: exact numerators
     over the first ``length`` denominators' lcm, cut from the cached row."""
-    weights = kernel_weights(nu, length, backend)
-    _, lcms, nums = _kernel_row(nu, length, backend)
-    if lcms is None:
-        return weights, 1.0
+    exact = backend is Backend.EXACT
+    row = _kernel_row(nu, length, exact)[0]
+    if not exact:
+        return row[0][:length], 1.0
+    lcms, nums = row[0], row[1]
     d, ratio = lcms[length - 1], lcms[-1] // lcms[length - 1]
     return (nums[:length] if ratio == 1 else [x // ratio for x in nums[:length]]), d
 
@@ -165,10 +202,45 @@ class KernelRow:
         return cls(base=base, order=order, weights=kernel_weights(order, length, backend))
 
 
+# Packed calls read _PACK outputs per dot product.  Below 16 outputs packing
+# gains nothing, and from 32 to 64 value bits its gain thins to 1.1-1.3x on
+# long kernels (the micro-table in BENCH_14.json).
+_PACK = 8  # outputs read from one packed block
+_PACK_MIN_OUTPUTS = 16  # fewest outputs of a call that packs
+_PACK_MAX_BITS = 32  # widest small operand of a call that packs
+
+
 def _convolve(w: Sequence, v: Sequence, ks: Sequence[int], acc=0) -> list:
     """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``ks``, added in
     ascending ``i`` from ``acc``: floats, or the integer numerators of exact
-    values in the scaled form."""
+    values in the scaled form.
+
+    An integer call with many outputs over a contiguous span and a small ``v``
+    packs ``_PACK`` kernel entries into each word, ``words[j] = Σ_u w[j−_PACK+1+u]·2^{uS}``
+    with ``w`` ≥ 0 and zero outside its range, so one dot product against ``v`` gives
+    the outputs ``k0 .. k0+_PACK−1`` as signed S-bit fields, read from low to high
+    with a borrow.  ``S`` leaves room for every sum, so the outputs are the same."""
+    if len(ks) >= _PACK_MIN_OUTPUTS and type(w[0]) is type(v[0]) is int:
+        lo, hi = min(ks), max(ks)
+        kw, vbits = list(w[: hi + 1]), max(map(abs, v[: hi + 1])).bit_length()
+        if hi - lo < len(ks) and vbits <= _PACK_MAX_BITS and min(kw) >= 0:
+            size = max(kw).bit_length() + vbits + (hi + 1).bit_length() + 1
+            top, mask, sign = (_PACK - 1) * size, (1 << size) - 1, 1 << (size - 1)
+            words, word = [], 0
+            for x in kw + [0] * (_PACK - 1):
+                word = (word >> size) | (x << top)
+                words.append(word)
+            outs = []
+            for k0 in range(lo, hi + 1, _PACK):
+                block = reduce(add, map(mul, reversed(words[: k0 + _PACK]), v), 0)
+                for _ in range(min(_PACK, hi + 1 - k0)):
+                    field = block & mask
+                    block >>= size
+                    if field & sign:  # a negative field borrowed one from the next
+                        field -= mask + 1
+                        block += 1
+                    outs.append(acc + field)
+            return [outs[k - lo] for k in ks]
     return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in ks]
 
 

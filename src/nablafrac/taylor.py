@@ -231,7 +231,8 @@ class TaylorSeed:
     def _of(cls, a: int, m: int, initial: tuple, h: tuple) -> "TaylorSeed":
         """An unchecked seed on library-built values of one backend (ints are exact)."""
         seed = object.__new__(cls)
-        seed.__dict__.update(a=a, m=m, initial=initial, h=h)
+        for name, value in (("a", a), ("m", m), ("initial", initial), ("h", h)):
+            object.__setattr__(seed, name, value)
         return seed
 
     @property

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -480,3 +481,124 @@ class TestKernelCache:
             g = f if b is Backend.EXACT else f.as_float()
             assert frac_sum_grid(g, 0, nu).values == sums[b].values
         assert kernel_cache_info().misses == misses + 2
+
+
+# ---------------------------------------------------------------------------
+# exact whole-grid sums at the sizes where the integer convolution changes
+# method: many outputs over small values are read 8 to a dot product (16 or
+# more outputs, value numerators of at most 32 bits), the rest one at a time
+
+PACKED_BITS = 32  # the widest value numerator that is still read 8 to a dot product
+BOUNDARY_LENGTHS = (7, 8, 9, 15, 16, 17, 23, 24, 25, 400)
+
+
+def product_row(nu, n):
+    """``w_ν(1..n)`` from the product form, one running product each."""
+    p, q = nu.numerator, nu.denominator
+    num, den, row = 1, 1, [Fraction(1)]
+    for j in range(1, n):
+        num, den = num * (p + q * (j - 1)), den * q * j
+        row.append(Fraction(num, den))
+    return row
+
+
+def naive_grid(nu, values):
+    """Every ``Σ_{i=0}^{k} w_ν(k−i+1)·values[i]``, term by term in ``Fraction``s
+    (zero terms skipped)."""
+    w = product_row(nu, len(values))
+    nonzero = [i for i, x in enumerate(values) if x]
+    return tuple(
+        sum((w[k - i] * values[i] for i in nonzero if i <= k), Fraction(0)) for k in range(len(values))
+    )
+
+
+def boundary_grids(n, dense=True):
+    """Integer grids of length ``n``: all-extreme negative values at the packed bit
+    limit, all zeros, one nonzero value at the first and at the last point, and
+    unless ``dense`` is false random values at the limit and one bit over it and
+    all-extreme negative values one bit over it."""
+    rng = random.Random(n)
+    top, over = 2**PACKED_BITS - 1, 2**PACKED_BITS
+    yield [-top] * n
+    yield [0] * n
+    yield [-top] + [0] * (n - 1)
+    yield [0] * (n - 1) + [-top]
+    if dense:
+        yield [rng.randint(-top, top) for _ in range(n - 1)] + [top]
+        yield [rng.randint(-top, top) for _ in range(n - 1)] + [-over]
+        yield [-over] * n
+
+
+class TestPackedBoundaries:
+    ORDERS = (Fraction(1, 3), Fraction(15, 7))
+
+    @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+    def test_sums(self, n):
+        # a dense 400-point naive sum takes half a second: one order, one dense grid
+        for nu in self.ORDERS if n < 400 else self.ORDERS[:1]:
+            for values in boundary_grids(n, dense=n < 400):
+                f = GridFunction(-3, tuple(values))
+                assert frac_sum_grid(f, -3, nu).values == naive_grid(nu, values)
+
+    @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+    def test_caputo(self, n):
+        # f is the running sum of h, so ∇f = h on [a, a+n−1]: h sits at the bit limits
+        for mu in self.ORDERS if n < 400 else self.ORDERS[:1]:
+            mu = mu - math.floor(mu)  # m = 1
+            for h in boundary_grids(n, dense=n < 400):
+                f = GridFunction(4, (0,) + tuple(accumulate(h)))
+                assert caputo_nabla_grid(f, 5, mu).values == naive_grid(1 - mu, h)
+
+    def test_window_past_the_start(self):
+        # a series from t = a+m convolves the outputs k = m−1, …, so its first
+        # block starts inside the kernel; a polynomial of degree < m has zero
+        # Caputo numerators, which are small enough to be read 8 at a time
+        for m, n in ((2, 19), (3, 27), (3, 42)):
+            mu = Fraction(7 * m - 3, 7)
+            for degree in (m - 1, m):
+                f = GridFunction(-m, tuple(Fraction(t**degree - 3 * t) for t in range(-m, n)))
+                h = [nabla(f, s, m) for s in range(1, n)]
+                cap = naive_grid(m - mu, h)
+                for p in (None, 1):
+                    series = taylor_fractional_series(f, 0, mu) if p is None else taylor_extended_series(f, 0, mu, p)
+                    rem = naive_grid(mu - (p or 0), cap)
+                    assert sorted(series) == list(range(m, n))
+                    for t, e in series.items():
+                        assert e.remainder == rem[t - 1]
+                        assert e.total == (f.at(t) if p is None else nabla(f, t, p))
+
+
+class TestKernelRowGrowth:
+    """Exact kernel rows grow in integers and become ``Fraction``s on request;
+    every request must read the product form, however the row grew."""
+
+    @staticmethod
+    def orders():
+        for q in range(1, 9):
+            for p in sorted({1, q + 1, 3 * q, 5 * q - 1}):
+                yield Fraction(p, q)
+
+    def test_rows_match_the_product_form(self):
+        rows = {nu: product_row(nu, 300) for nu in self.orders()}
+        assert any(nu.denominator == 1 for nu in rows) and any(nu.denominator == 8 for nu in rows)
+        for nu, want in rows.items():
+            for n in (10, 300, 40):
+                got = kernel_weights(nu, n)
+                assert got == tuple(want[:n])
+                assert all(type(x) is Fraction for x in got)
+        for k in range(kernel_cache_info().maxsize + 10):
+            kernel_weights(Fraction(2 * k + 1, 4002), 2)
+        for nu, want in rows.items():
+            assert kernel_weights(nu, 300) == tuple(want)
+
+    def test_sums_after_staged_growth(self):
+        nu = Fraction(101, 37)
+        rng = random.Random(37)
+        values = [rng.randint(-9, 9) for _ in range(300)]
+        f = GridFunction(0, tuple(values))
+        frac_sum_grid(f, 0, nu, 19)  # the integer row grows, no Fractions yet
+        assert kernel_weights(nu, 50) == tuple(product_row(nu, 50))
+        frac_sum_grid(f, 0, nu, 119)  # past the Fractions built so far
+        assert kernel_weights(nu, 120) == tuple(product_row(nu, 120))
+        assert frac_sum_grid(f, 0, nu).values == naive_grid(nu, values)
+        assert kernel_weights(nu, 300) == tuple(product_row(nu, 300))

@@ -966,6 +966,15 @@ class TestExactReportOracle:
             ones = unit_weights(1, t), unit_weights(3, t)
             assert_same_report(report, *self.opial_oracle(f, 0, t, FIVE_HALVES, 0, 2, 2, *ones))
 
+    @pytest.mark.parametrize("t", [18, 19, 26, 41])
+    def test_opial_25_long_theta_windows(self, t):
+        # unit weights make (1/C)^γ small, so θ^γ reads 8 outputs per dot product,
+        # over the window k = m−1 .., whose first block starts past the kernel head
+        f = admissible(t, 0, 3, t + 1, k0=0)
+        report = opial_corollary_25(f, t)
+        ones = unit_weights(1, t), unit_weights(3, t)
+        assert_same_report(report, *self.opial_oracle(f, 0, t, FIVE_HALVES, 0, 2, 2, *ones))
+
     @staticmethod
     def norm_oracle(f, a, b, mu, p, gamma, delta, r):
         m = math.ceil(mu)

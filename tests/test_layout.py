@@ -151,3 +151,16 @@ def test_one_convolution_implementation():
                 if id(node) not in allowed:
                     offenders.append(f"{path.name}:{node.lineno} convolves outside fracops._convolve")
     assert offenders == []
+
+
+def test_no_instance_fields_written_through_the_dict():
+    # writing through ``__dict__`` gives an instance a dict of its own, which
+    # slows every later attribute read on it; library-built instances set their
+    # fields with object.__setattr__, as their constructors do
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                offenders.append(f"{path.name}:{node.lineno} reaches an instance __dict__")
+    assert offenders == []
