@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
 from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError
-from .grid import GridFunction, _scalar, _scaled, _scaled_differences, _unscaled
+from .grid import GridFunction, _scalar, _scaled_differences, _unscaled
 from .scalars import Backend, Scalar, parse_order
 
 __all__ = [
@@ -97,16 +96,15 @@ _KERNEL_CACHE_ROWS = 512  # the kernel cache keeps the rows of this many (order,
 @lru_cache(maxsize=_KERNEL_CACHE_ROWS)
 def _kernel_slot(num: int, den: int, exact: bool) -> list:
     """The cache slot of the order ``num/den`` on one backend."""
-    return [([1], [1], (1, 1, 1), (Fraction(1),)) if exact else ((1.0,),)]
+    return [([1], [1], (1, 1, 1)) if exact else ((1.0,),)]
 
 
 def _kernel_row(nu, length: int, exact: bool) -> list:
     """The cache slot of the rational order ν = p/q with its row grown to at least
     ``length`` weights.  A float row is ``(weights,)``, grown by the float recurrence.
-    An exact row is ``(lcms, nums, last, fractions)``: the prefix lcms of the reduced
-    denominators, the numerators over the last lcm, the last weight as a reduced
-    ``(num, den)`` with ``lcm // den``, and a prefix of the weights as ``Fraction``s,
-    grown by :func:`kernel_weights` alone.  The integers grow against the small
+    An exact row is ``(lcms, nums, last)``: the prefix lcms of the reduced
+    denominators, the numerators over the last lcm, and the last weight as a reduced
+    ``(num, den)`` with ``lcm // den``.  The integers grow against the small
     factors ``p+q(n−1)`` and ``qn`` of ``w(n+1) = w(n)·(p+q(n−1))/(qn)``, so every
     gcd and division has one small operand.  Growth replaces the row whole, for
     concurrent readers."""
@@ -122,7 +120,7 @@ def _kernel_row(nu, length: int, exact: bool) -> list:
             ws.append(ws[-1] * (step + n - 1) / n)
         slot[0] = (tuple(ws),)
         return slot
-    lcms, nums, (a, b, ratio), fractions = row
+    lcms, nums, (a, b, ratio) = row
     lcms, big = list(lcms), lcms[-1]
     for n in range(start, length):
         x, y = p + q * (n - 1), q * n
@@ -138,33 +136,19 @@ def _kernel_row(nu, length: int, exact: bool) -> list:
     nums = [x * scale for x in nums]
     for n in range(start, length):
         nums.append(nums[-1] * (p + q * (n - 1)) // (q * n))
-    slot[0] = (lcms, nums, (a, b, ratio), fractions)
+    slot[0] = (lcms, nums, (a, b, ratio))
     return slot
 
 
 def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
-    """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``, grown by
-    the recurrence and memoised per (ν, backend) in an LRU cache of ``_KERNEL_CACHE_ROWS`` rows;
-    exact weights become ``Fraction``s here, on the first request for them."""
+    """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``, cut from
+    the row grown by the recurrence and memoised per (ν, backend) in an LRU cache of
+    ``_KERNEL_CACHE_ROWS`` rows."""
     if type(nu) not in (int, Fraction) or nu <= 0:  # a positive rational skips FractionalOrder
         nu = as_order(nu).value
     if not isinstance(length, int) or length < 0:
         raise ParameterError(f"length must be a non-negative integer, got {length!r}")
-    if length == 0:
-        return ()
-    exact = backend is Backend.EXACT
-    slot = _kernel_row(nu, length, exact)
-    row = slot[0]
-    if not exact:
-        return row[0][:length]
-    lcms, nums, last, fractions = row
-    if len(fractions) < length:
-        # products with the small factors, whose gcds stay cheap
-        p, q = nu.numerator, nu.denominator
-        steps = (Fraction(p + q * (n - 1), q * n) for n in range(len(fractions), len(nums)))
-        fractions += tuple(accumulate(steps, mul, initial=fractions[-1]))[1:]
-        slot[0] = (lcms, nums, last, fractions)
-    return fractions[:length]
+    return _unscaled(*_scaled_kernel(nu, length, backend)) if length else ()
 
 
 kernel_cache_info = _kernel_slot.cache_info
@@ -244,44 +228,38 @@ def _convolve(w: Sequence, v: Sequence, ks: Sequence[int], acc=0) -> list:
     return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in ks]
 
 
-def _sums(nu, vs: Sequence, dv, ks: Sequence[int], backend: Backend) -> tuple:
-    """Order-ν fractional sums ``Σ_{i=0}^{k} w_ν(k−i+1)·v[i]`` for each ``k``
-    in ``ks``, with ``v = vs/dv`` and the result in the scaled form."""
-    ws, dw = _scaled_kernel(nu, max(ks) + 1, backend)
+def _sums(f: GridFunction, a: int, order, m: int, hi: int, ks: Sequence[int] = None) -> tuple:
+    """The checked order-``order`` fractional sums of ``∇^m f`` from base ``a`` at
+    ``a+k`` for each ``k`` in ``ks`` (default every point of ``[a, hi]``), in the
+    scaled form.  The one range rule of every fractional sum and Caputo-like
+    difference: ``hi ≥ a``, then ``f`` covers ``[a−m, hi]``."""
+    if hi < a:
+        raise EmptyRangeError(f"sum range needs t >= a, got t={hi} < a={a}")
+    f.require_window(a - m, hi)
+    ks = range(hi - a + 1) if ks is None else ks
+    vs, dv = _scaled_differences(f, a, m, hi)
+    ws, dw = _scaled_kernel(order, max(ks) + 1, f.backend)
     return _convolve(ws, vs, ks), dw * dv
 
 
-def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int) -> tuple:
-    """The checked Caputo-like difference on ``[a, hi]`` in the scaled form."""
+def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int, ks: Sequence[int] = None) -> tuple:
+    """The checked Caputo-like differences of ``f`` from base ``a`` at ``a+k`` for
+    each ``k`` in ``ks`` (default every point of ``[a, hi]``), in the scaled form."""
     mu = as_order(mu).require_non_integer("caputo-like nabla difference")
-    m = mu.m
-    if hi < a:
-        raise EmptyRangeError(f"caputo grid needs hi >= a, got hi={hi} < a={a}")
-    f.require_window(a - m, hi)
-    return _sums(m - mu.value, *_scaled_differences(f, a, m, hi), range(hi - a + 1), f.backend)
+    return _sums(f, a, mu.m - mu.value, mu.m, hi, ks)
 
 
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     """Order-ν backward fractional sum of ``f`` from base ``a`` at ``t``:
     ``Σ_{s=a}^{t} w_ν(t−s+1)·f(s)``.  Integer ν reproduces the iterated sum."""
-    nu = as_order(nu)
-    if t < a:
-        raise EmptyRangeError(f"fractional sum needs t >= a, got t={t} < a={a}")
-    f.require_window(a, t)
-    (dot,), d = _sums(nu.value, *_scaled(f.values[a - f.lo : t + 1 - f.lo]), (t - a,), f.backend)
+    (dot,), d = _sums(f, a, as_order(nu).value, 0, t, (t - a,))
     return _scalar(dot, d)
 
 
 def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> GridFunction:
     """Fractional sum evaluated at every ``t`` in ``[a, hi]`` (default ``f.hi``)."""
-    nu = as_order(nu)
-    if hi is None:
-        hi = f.hi
-    if hi < a:
-        raise EmptyRangeError(f"fractional sum grid needs hi >= a, got hi={hi} < a={a}")
-    f.require_window(a, hi)
-    scaled = _scaled(f.values[a - f.lo : hi + 1 - f.lo])
-    return GridFunction._of(a, _unscaled(*_sums(nu.value, *scaled, range(hi - a + 1), f.backend)))
+    sums = _sums(f, a, as_order(nu).value, 0, f.hi if hi is None else hi)
+    return GridFunction._of(a, _unscaled(*sums))
 
 
 def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
@@ -299,12 +277,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
 def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
     """Caputo-like backward difference of non-integer order μ: the fractional
     sum of order ``m−μ`` (m = ⌈μ⌉) applied to the m-th backward difference."""
-    mu = as_order(mu).require_non_integer("caputo-like nabla difference")
-    m = mu.m
-    if t < a:
-        raise EmptyRangeError(f"caputo difference needs t >= a, got t={t} < a={a}")
-    f.require_window(a - m, t)
-    (dot,), d = _sums(m - mu.value, *_scaled_differences(f, a, m, t), (t - a,), f.backend)
+    (dot,), d = _caputo(f, a, mu, t, (t - a,))
     return _scalar(dot, d)
 
 

@@ -154,15 +154,26 @@ def _read_path(read, path: str, backend: Backend, newline=None) -> GridFunction:
             raise ParseError(f"grid file {path!r} is not valid UTF-8: {exc.reason}") from exc
 
 
-def write_grid_csv(f: GridFunction, sink: Union[str, IO[str]]) -> None:
+def _write_text(sink: Union[str, IO[str]], text: str, newline: str = None) -> None:
+    """Write ``text`` to an open text stream, or to the file at the path ``sink`` in UTF-8."""
     if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8", newline="") as handle:
-            write_grid_csv(f, handle)
-            return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["t", "value"])
-    for t in f.domain.points():
-        writer.writerow([t, format_scalar(f.at(t))])
+        with open(sink, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+    else:
+        sink.write(text)
+
+
+def _csv_text(header: list, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def write_grid_csv(f: GridFunction, sink: Union[str, IO[str]]) -> None:
+    rows = ((t, format_scalar(v)) for t, v in enumerate(f.values, f.lo))
+    _write_text(sink, _csv_text(["t", "value"], rows), newline="")
 
 
 def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT) -> GridFunction:
@@ -204,12 +215,8 @@ def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT
 
 
 def write_grid_json(f: GridFunction, sink: Union[str, IO[str]]) -> None:
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as handle:
-            write_grid_json(f, handle)
-            return
     payload = {"lo": f.lo, "values": [format_scalar(v) for v in f.values]}
-    sink.write(to_json(payload))
+    _write_text(sink, to_json(payload))
 
 
 def read_grid(path: str, fmt: str = None, backend: Backend = Backend.EXACT) -> GridFunction:
@@ -277,11 +284,7 @@ def render_report(obj, fmt: str = "table") -> str:
         return to_json(payload)
     rows = _flatten(payload)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["field", "value"])
-        writer.writerows(rows)
-        return buffer.getvalue()
+        return _csv_text(["field", "value"], rows)
     if fmt == "table":
         width = max(len(key) for key, _ in rows)
         return "\n".join(f"{key.ljust(width)}  {value}" for key, value in rows) + "\n"
@@ -289,9 +292,4 @@ def render_report(obj, fmt: str = "table") -> str:
 
 
 def write_report(obj, sink: Union[str, IO[str]], fmt: str = "json") -> None:
-    text = render_report(obj, fmt)
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return
-    sink.write(text)
+    _write_text(sink, render_report(obj, fmt))

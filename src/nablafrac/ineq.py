@@ -28,11 +28,7 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    BoundaryConditionError,
-    ParameterError,
-    WindowError,
-)
+from .errors import BoundaryConditionError, ParameterError
 from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order, kernel_weights
 from .grid import GridFunction, _initial_column, _scalar, _scaled, _scaled_differences, nabla
 from .scalars import (
@@ -45,7 +41,7 @@ from .scalars import (
     parse_order,
     to_float,
 )
-from .taylor import _check_base, _check_extended_args, _check_shift, sum_rising_closed_form
+from .taylor import _check_base_shift, _check_window, sum_rising_closed_form
 
 __all__ = [
     "InequalityReport",
@@ -97,9 +93,26 @@ def _power_sum(nums: Sequence, d, e: Exponent) -> Scalar:
     return _scalar(reduce(add, powers), dp)
 
 
-def _window(g: GridFunction, lo: int, hi: int) -> tuple:
-    """The values of ``g`` on ``[lo, hi]``, a window the caller has checked."""
-    return g.values[lo - g.lo : hi + 1 - g.lo]
+def _weights(f: GridFunction, C: GridFunction, lo: int, hi: int) -> tuple:
+    """The values of the weight grid ``C`` on ``[lo, hi]``; the one weight-grid rule:
+    ``C`` shares the backend of ``f`` and covers the window."""
+    if C.backend is not f.backend:
+        raise ParameterError("weight grids must share the function's backend")
+    C.require_window(lo, hi)
+    return C.values[lo - C.lo : hi + 1 - C.lo]
+
+
+def _norm_exponent(r) -> Exponent:
+    """The outer norm exponent ``r ≥ 1`` of the Sobolev-type bounds."""
+    r = as_exponent(r)
+    if r < 1:
+        raise ParameterError(f"norm exponent r must be >= 1, got {r}")
+    return r
+
+
+def _check_g_variant(variant: str) -> None:
+    if variant not in ("paper", "tight"):
+        raise ParameterError(f"unknown g-bound variant {variant!r}")
 
 
 def _check_conjugate(gamma: Exponent, delta: Exponent, policy: TolerancePolicy) -> None:
@@ -114,19 +127,13 @@ def _check_conjugate(gamma: Exponent, delta: Exponent, policy: TolerancePolicy) 
         raise ParameterError(f"gamma={gamma} and delta={delta} are not conjugate")
 
 
-def _nonzero(v: Scalar, policy: TolerancePolicy) -> bool:
-    """Whether a boundary value fails to vanish: ``v != 0`` for a ``Fraction``,
-    ``|v| > abs_eps`` for a float."""
-    return v != 0 if isinstance(v, Fraction) else abs(v) > policy.abs_eps
-
-
 def _require_zero_initials(
     f: GridFunction, a: int, k0: int, m: int, policy: TolerancePolicy, context: str
 ) -> None:
-    """``∇^k f(a)`` must vanish for ``k0 ≤ k < m``; the caller has checked the
-    window ``[a−m+1, a]``."""
+    """``∇^k f(a)`` must vanish for ``k0 ≤ k < m`` (a float within ``abs_eps``); the
+    caller has checked the window ``[a−m+1, a]``."""
     for k, v in enumerate(_initial_column(f, a, m)[k0:], k0):
-        if _nonzero(v, policy):
+        if v != 0 if isinstance(v, Fraction) else abs(v) > policy.abs_eps:
             raise BoundaryConditionError(
                 f"{context} requires the k={k} backward difference at {a} to vanish, got {v}"
             )
@@ -207,11 +214,8 @@ def g_bound(g: GridFunction, a: int, m: int, t: int, variant: str = "paper") -> 
     telescoped combination), which is only guaranteed when the series is
     convex and may even go negative otherwise.
     """
-    if variant not in ("paper", "tight"):
-        raise ParameterError(f"unknown g-bound variant {variant!r}")
-    if t < a + m:
-        raise WindowError(f"g bound needs t >= a+m = {a + m}, got t={t}")
-    g.require_window(a + m - 2, t)
+    _check_g_variant(variant)
+    _check_window(g, a + m - 2, a + m, t)
     return _g_bounds(g.at(t), g.at(t - 1), g.at(a + m - 1), g.at(a + m - 2))[variant == "tight"]
 
 
@@ -244,7 +248,7 @@ class OpialParams:
         object.__setattr__(self, "delta", as_exponent(self.delta))
         if self.mu.value <= 2 or self.mu.m < 3:
             raise ParameterError(f"order must exceed 2 (ceiling >= 3), got {self.mu.value}")
-        _check_shift(self.mu, self.p)
+        _check_base_shift(0, self.mu, self.p)  # opial_report checks its own base
         _check_conjugate(self.gamma, self.delta, DEFAULT_TOLERANCE)
         for tau, v in enumerate(self.inner_weights.values, self.inner_weights.lo):
             if not v > 0:
@@ -264,24 +268,16 @@ def opial_report(
 ) -> InequalityReport:
     """Weighted product of ``|∇^p f|`` and the Caputo-like difference against
     the Hölder bound ``K·G^{1/δ}``."""
-    if g_variant not in ("paper", "tight"):
-        raise ParameterError(f"unknown g-bound variant {g_variant!r}")
+    _check_g_variant(g_variant)
     mu, p = params.mu, params.p
     m = mu.m
-    _check_base(a)
-    if t < a + m:
-        raise WindowError(f"evaluation point must satisfy t >= a+m = {a + m}, got t={t}")
-    C, D = params.inner_weights, params.outer_weights
-    if C.backend is not f.backend or D.backend is not f.backend:
-        raise ParameterError("weight grids must share the function's backend")
-    C.require_window(a + 1, t)
-    D.require_window(a + m, t)
-    f.require_window(a - m + 1, t)
+    _check_base_shift(a, mu, p)
+    _check_window(f, a - m + 1, a + m, t)
+    c, d = _weights(f, params.inner_weights, a + 1, t), _weights(f, params.outer_weights, a + m, t)
     _require_zero_initials(f, a, p, m, policy, "weighted-product bound")
     gamma, delta = params.gamma, params.delta
 
     cn, dc = _caputo(f, a + 1, mu, t)
-    c, d = _window(C, a + 1, t), _window(D, a + m, t)
     (cs, dcs), (ds, dd) = _scaled(c), _scaled(d)
 
     # g = Σ (C·|cap|)^δ, and θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ in ascending τ
@@ -334,14 +330,9 @@ def opial_corollary_25(
     f: GridFunction, t: int, policy: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """Specialised weighted-product bound of order 5/2 about base 0 with unit
-    weights and square exponents; requires ``f(0) = f(−1) = f(−2) = 0``."""
-    if t < 3:
-        raise WindowError(f"specialised bound needs t >= 3, got t={t}")
-    f.require_window(-2, t)
-    for point in (0, -1, -2):
-        v = f.at(point)
-        if _nonzero(v, policy):
-            raise BoundaryConditionError(f"f({point}) must vanish, got {v}")
+    weights and square exponents; requires ``f(0) = f(−1) = f(−2) = 0``, which
+    :func:`opial_report` checks as the vanishing initial differences."""
+    _check_window(f, -2, 3, t)  # before the unit weights, which need t >= 1
     one = _cast(f.backend, 1)
     params = OpialParams(
         mu=Fraction(5, 2),
@@ -352,13 +343,9 @@ def opial_corollary_25(
         outer_weights=GridFunction.constant(3, t, one),
     )
     report = opial_report(f, 0, t, params, "paper", policy)
-    prefactor = 1.0 / math.gamma(2.5)
-    expected = 4.0 / (3.0 * math.sqrt(math.pi))
-    if abs(prefactor - expected) > 1e-12 * expected:
-        raise ParameterError("kernel prefactor drifted from 4/(3*sqrt(pi))")
     components = dict(report.components)
-    components["prefactor"] = prefactor
-    components["prefactor_expected"] = expected
+    components["prefactor"] = 1.0 / math.gamma(2.5)
+    components["prefactor_expected"] = 4.0 / (3.0 * math.sqrt(math.pi))
     return dataclasses.replace(report, name="opial-25", components=components)
 
 
@@ -374,10 +361,8 @@ def ostrowski_report(
     the telescoped kernel-mass bound.  Rational end to end on the exact backend."""
     mu = as_order(mu).require_non_integer("average-deviation bound")
     m = mu.m
-    _check_extended_args(a, mu, p)
-    if b <= a + m:
-        raise WindowError(f"average needs b > a+m = {a + m}, got b={b}")
-    f.require_window(a - m + 1, b)
+    _check_base_shift(a, mu, p)
+    _check_window(f, a - m + 1, a + m + 1, b)
     _require_zero_initials(f, a, p + 1, m, policy, "average-deviation bound")
 
     count = b - a - m
@@ -415,8 +400,6 @@ def _kernel_power_sums(
     The inner sum at ``j`` is ``Σ_{n<j−a} w[n]^γ``.  Exact integral powers make
     it an integer prefix sum, O(N) in all; float terms are added as
     ``w[j−a−1]^γ, …, w[0]^γ`` (descending n), which fixes their bits."""
-    if b < a + m_start:
-        raise WindowError(f"kernel power sum needs b >= a+m = {a + m_start}, got b={b}")
     powers, dp = _powers(*_scaled_kernel(order, b - a, backend), gamma)
     if isinstance(dp, float):
         inner = [reduce(add, powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1)]
@@ -444,14 +427,10 @@ def _norm_report(
     gamma = as_exponent(gamma)
     delta = as_exponent(delta)
     poincare = r is None
-    r = delta if poincare else as_exponent(r)
+    r = delta if poincare else _norm_exponent(r)
     _check_conjugate(gamma, delta, policy)
-    if r < 1:
-        raise ParameterError(f"norm exponent r must be >= 1, got {r}")
-    _check_extended_args(a, mu, p)
-    if b < a + m:
-        raise WindowError(f"norm window needs b >= a+m = {a + m}, got b={b}")
-    f.require_window(a - m + 1, b)
+    _check_base_shift(a, mu, p)
+    _check_window(f, a - m + 1, a + m, b)
     _require_zero_initials(f, a, p, m, policy, "norm bound")
 
     pn, dp = _scaled_differences(f, a + m, p, b)
@@ -533,27 +512,20 @@ def avg_sobolev_report(
             raise ParameterError("orders must be strictly increasing")
     if len(weight_grids) != len(orders):
         raise ParameterError("need one weight grid per order")
-    r = as_exponent(r)
-    if r < 1:
-        raise ParameterError(f"norm exponent r must be >= 1, got {r}")
+    r = _norm_exponent(r)
     k = len(orders)
     m_top = orders[-1].m
-    _check_base(a)
-    if b <= a + m_top:
-        raise WindowError(f"averaged bound needs b > a+m = {a + m_top}, got b={b}")
-    f.require_window(a - m_top + 1, b)
+    _check_base_shift(a, orders[-1], 0)  # the averaged bound is on f itself, p = 0
+    _check_window(f, a - m_top + 1, a + m_top + 1, b)
     _require_zero_initials(f, a, 0, m_top, policy, "averaged norm bound")
     backend = f.backend
-    for C in weight_grids:
-        if C.backend is not backend:
-            raise ParameterError("weight grids must share the function's backend")
-        C.require_window(a + 1, b)
-        for tau, v in enumerate(_window(C, a + 1, b), a + 1):
+    weights = [_weights(f, C, a + 1, b) for C in weight_grids]
+    for c in weights:
+        for tau, v in enumerate(c, a + 1):
             if not v > 0:
                 raise ParameterError(f"weights must be positive, got {v} at {tau}")
 
     two = Fraction(2)
-    weights = [_window(C, a + 1, b) for C in weight_grids]
     b_terms: List[Scalar] = []
     for order, c in zip(orders, weights):
         (cn, dc), (cs, dcs) = _caputo(f, a + 1, order, b), _scaled(c)

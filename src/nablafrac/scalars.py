@@ -263,5 +263,5 @@ def normalized_rising(n: int, nu, c=None, backend: Backend = Backend.EXACT) -> S
         raise OrderError("orders must be positive")
     if exact:
         return gamma_ratio_mod1(nu + (n - 1), c) / math.factorial(n - 1)
-    x = n + nu - 1.0  # rounds to 0 only for n = 1 and ν ≤ 2^-53, where it is ν itself
-    return _float_gamma_ratio(x if x > 0.0 else nu, (float(n), c))
+    # n + ν − 1.0 would drop the bits of a tiny ν at n = 1
+    return _float_gamma_ratio(nu if n == 1 else n + nu - 1.0, (float(n), c))

@@ -16,7 +16,7 @@ from operator import add, sub
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
-from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, _sums, as_order
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order
 from .grid import (
     GridFunction,
     _coerce_values,
@@ -66,24 +66,44 @@ def _expand(
     (∇^m f or the Caputo-like difference), ``order`` the remainder kernel's order
     (m, μ or μ−p).  The polynomial part adds ``w_{k−p+1}(n)·∇^k f(a)`` in ascending
     ``k = p .. m−1``; integer-order kernels are integers, one row per k."""
-    rems, dr = _sums(order, *source, [n - 1 for n in offsets], backend)
+    ws, dw = _scaled_kernel(order, offsets[-1], backend)
+    rems, dr = _convolve(ws, source[0], [n - 1 for n in offsets]), dw * source[1]
     inits, di = _scaled(initials[p:])
     rows = [_scaled_kernel(k + 1, offsets[-1], backend)[0] for k in range(len(inits))]
     polys = (reduce(add, (row[n - 1] * x for row, x in zip(rows, inits)), 0) for n in offsets)
     return [(_scalar(poly, di), _scalar(rem, dr)) for poly, rem in zip(polys, rems)]
 
 
-def _check_window(f: GridFunction, a: int, m: int, t: int) -> None:
-    if t < a + m:
-        raise WindowError(f"representation is valid only for t >= a+m = {a + m}, got t={t}")
-    f.require_window(a - m + 1, t)
+def _check_window(f: GridFunction, lo: int, first: int, end: int) -> None:
+    """The one window check of every Taylor form and bound: ``end ≥ first``, then
+    ``f`` covers ``[lo, end]``.  The paper's window is ``lo = a−m+1`` and
+    ``first = a+m`` (``a+m+1`` for the averages)."""
+    if end < first:
+        raise WindowError(f"window needs its end point >= {first}, got {end}")
+    f.require_window(lo, end)
+
+
+def _check_m(m) -> None:
+    """The order-ceiling rule of the integer expansion, the seeds and the rising sum."""
+    if not isinstance(m, int) or m < 1:
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
+
+
+def _check_base_shift(a: int, mu: FractionalOrder, p: int) -> None:
+    """The base-then-shift rule of the extended expansion and the bounds: ``a ≥ 0``,
+    then an integer shift ``0 ≤ p < μ``."""
+    if a < 0:
+        raise ParameterError(f"base must be non-negative, got a={a}")
+    if not isinstance(p, int) or p < 0:
+        raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
+    if p >= mu.value:
+        raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
 
 
 def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     """Degree-(m−1) backward expansion about ``a`` plus the m-th difference remainder."""
-    if not isinstance(m, int) or m < 1:
-        raise ParameterError(f"integer order m must be >= 1, got {m!r}")
-    _check_window(f, a, m, t)
+    _check_m(m)
+    _check_window(f, a - m + 1, a + m, t)
     initials = _initial_column(f, a, m)
     h = _scaled_differences(f, a + 1, m, t)
     [(poly, rem)] = _expand(Fraction(m), initials, h, 0, (t - a,), f.backend)
@@ -100,9 +120,9 @@ def _series(
     ``∇^p f``, with ``total = ∇^p f(t)``."""
     mu = as_order(mu).require_non_integer(context)
     if p is not None:
-        _check_extended_args(a, mu, p)
+        _check_base_shift(a, mu, p)
     t_hi = f.hi if t_hi is None else t_hi
-    _check_window(f, a, mu.m, t_hi)
+    _check_window(f, a - mu.m + 1, a + mu.m, t_hi)
     t_lo = a + mu.m if t_lo is None else t_lo
     shift = p or 0
     cap = _caputo(f, a + 1, mu, t_hi)
@@ -129,27 +149,6 @@ def taylor_fractional_series(
 ) -> Dict[int, TaylorExpansion]:
     """Expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
     return _series(f, a, mu, None, None, t_max, "fractional expansion")[1]
-
-
-def _check_base(a: int) -> None:
-    """Base check shared by the extended expansion and the bounds: ``a ≥ 0``."""
-    if a < 0:
-        raise ParameterError(f"base must be non-negative, got a={a}")
-
-
-def _check_shift(mu: FractionalOrder, p: int) -> None:
-    """Shift check shared by the extended expansion and the bounds: an integer
-    ``0 ≤ p < μ``."""
-    if not isinstance(p, int) or p < 0:
-        raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
-    if p >= mu.value:
-        raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
-
-
-def _check_extended_args(a: int, mu: FractionalOrder, p: int) -> None:
-    """Base check, then shift check."""
-    _check_base(a)
-    _check_shift(mu, p)
 
 
 def taylor_extended(f: GridFunction, a: int, mu: OrderInput, p: int, t: int) -> TaylorExpansion:
@@ -181,8 +180,7 @@ def sum_rising_closed_form(
     """Closed form of ``Σ_{j=a+m+1}^{b} (j−a)`` to the rising power ν, normalised
     by Γ(ν+2): the telescoped difference of two rising powers of exponent ν+1."""
     nu = as_order(nu)
-    if not isinstance(m, int) or m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     if b <= a + m:
         raise EmptyRangeError(f"rising sum needs b > a+m, got b={b}, a+m={a + m}")
     target = nu.value + 2
@@ -217,8 +215,7 @@ class TaylorSeed:
     h: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ParameterError(f"m must be a positive integer, got {self.m!r}")
+        _check_m(self.m)
         initial = tuple(self.initial)
         h = tuple(self.h)
         if len(initial) != self.m:

@@ -192,6 +192,16 @@ class TestCaputoNabla:
             caputo_nabla(f, 1, FIVE_HALVES, 3)
 
 
+def test_pointwise_and_grid_forms_share_the_range_check():
+    f = cube_grid(-2, 6)
+    for pointwise, grid, order in ((frac_sum, frac_sum_grid, HALF), (caputo_nabla, caputo_nabla_grid, FIVE_HALVES)):
+        with pytest.raises(EmptyRangeError) as point_error:
+            pointwise(f, 2, order, 1)
+        with pytest.raises(EmptyRangeError) as grid_error:
+            grid(f, 2, order, 1)
+        assert str(point_error.value) == str(grid_error.value)
+
+
 class TestCompositionLaws:
     def test_law_of_exponents_small(self):
         rng = random.Random(9)

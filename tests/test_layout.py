@@ -164,3 +164,20 @@ def test_no_instance_fields_written_through_the_dict():
             if isinstance(node, ast.Attribute) and node.attr == "__dict__":
                 offenders.append(f"{path.name}:{node.lineno} reaches an instance __dict__")
     assert offenders == []
+
+
+def test_one_window_check():
+    # every Taylor form and bound checks its window in taylor._check_window;
+    # eval_from_taylor_data words its own, because its seed has no grid
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "taylor.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in ("_check_window", "eval_from_taylor_data"):
+                    allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) == "WindowError" and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno} raises its own WindowError")
+    assert offenders == []

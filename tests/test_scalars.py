@@ -190,7 +190,8 @@ class TestGammaQuotientSweep:
             c = rng.choice([None, rng.uniform(0.01, 20)])
             nu_f = float(nu)
             c_f = nu_f if c is None else c
-            want = math.exp(math.lgamma(n + nu_f - 1.0) - math.lgamma(float(n)) - math.lgamma(c_f))
+            x = nu_f if n == 1 else n + nu_f - 1.0
+            want = math.exp(math.lgamma(x) - math.lgamma(float(n)) - math.lgamma(c_f))
             assert normalized_rising(n, nu, c, backend=Backend.FLOAT) == want, (n, nu, c)
 
     def test_conventions(self):
@@ -261,8 +262,9 @@ def test_float_normalized_rising_rejects_a_nan_order_or_normaliser():
 
 
 def test_first_weight_of_a_tiny_float_order_is_one():
-    # 1 + ν − 1.0 rounds to 0 for ν ≤ 2^-53, which used to raise the pole error
-    for nu in (1e-300, 2.0**-53, 2.0**-54, 5e-324):
+    # 1 + ν − 1.0 rounds to 0 for ν ≤ 2^-53 and drops the low bits of a larger ν,
+    # so the first weight takes Γ(ν) itself
+    for nu in (1e-300, 2.0**-53, 2.0**-54, 5e-324, 1.5 * 2.0**-53, 2.0**-45, 0.3):
         assert normalized_rising(1, nu, backend=Backend.FLOAT) == 1.0
 
 
