@@ -109,6 +109,8 @@ def _cmd_taylor(args) -> int:
     _require(args, "a", "mu", "t")
     f = _load_grid(args)
     order = as_order(args.mu)
+    if order.is_integer and args.p:
+        raise UsageError(f"--p {args.p} needs a non-integer --mu; the integer form expands f itself")
     if order.is_integer:
         expansion = taylor_integer(f, args.a, int(order.value), args.t)
     elif args.p:

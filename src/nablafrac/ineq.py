@@ -13,8 +13,9 @@ changed in Python 3.12), so float results do not depend on the interpreter.
 Whenever the exponent combination keeps both sides rational (``gamma = delta
 = 2``, and ``r = 2`` where an outer root appears), the report additionally
 carries exact squared certificates computed in big rationals.
-:func:`_make_report` writes every certificate and :func:`_verdict` is the one
-rule that decides ``holds``.
+:func:`_powers` raises every power and :func:`_root` takes every root;
+:func:`_admissible` checks every bound's function, :func:`_make_report` writes
+every certificate and :func:`_verdict` is the one rule that decides ``holds``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
-from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import reduce, wraps
+from itertools import accumulate, chain, islice, repeat
+from operator import add, mul, truediv
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import BoundaryConditionError, ParameterError
-from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order, kernel_weights
+from .errors import BoundaryConditionError, DomainError, ParameterError
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order
 from .grid import GridFunction, _initial_column, _scalar, _scaled, _scaled_differences, nabla
 from .scalars import (
     Backend,
@@ -77,13 +78,15 @@ def _root(x: Scalar, e: Exponent) -> Scalar:
     return v ** (1.0 / float(e))
 
 
-def _powers(nums: Sequence, d, e: Exponent) -> tuple:
-    """``(x/d)^e`` for each ``x`` of a scaled sequence, scaled: integers over ``d^e``
-    for exact values and an integral ``e``, else floats (``x/d`` rounds as ``float()``)."""
+def _powers(nums: Iterable, d, e: Exponent) -> tuple:
+    """``(x/d)^e`` for each ``x`` of a scaled sequence, scaled: a list of integers over
+    ``d^e`` for exact values and an integral ``e``, else an iterator of floats (``x/d``
+    rounds as ``float()``).  Every power of the bound evaluators is raised here."""
     integral, k = _classify_exponent(e)
     if integral and not isinstance(d, float):
         return [x**k for x in nums], d**k
-    return [(x / d) ** (k if integral else e) for x in nums], 1.0
+    xs = nums if isinstance(d, float) else map(truediv, nums, repeat(d))  # a float scale is 1.0
+    return map(pow, xs, repeat(k if integral else float(e))), 1.0  # a float to a Fraction e is to float(e)
 
 
 def _power_sum(nums: Sequence, d, e: Exponent) -> Scalar:
@@ -115,23 +118,27 @@ def _check_g_variant(variant: str) -> None:
         raise ParameterError(f"unknown g-bound variant {variant!r}")
 
 
-def _check_conjugate(gamma: Exponent, delta: Exponent, policy: TolerancePolicy) -> None:
+def _conjugate_pair(gamma, delta, policy: TolerancePolicy) -> Tuple[Exponent, Exponent]:
+    """The parsed exponents ``γ, δ > 1`` with ``1/γ + 1/δ = 1``: exactly when both are
+    rational, else within ``abs_eps + rel_eps``."""
+    gamma, delta = as_exponent(gamma), as_exponent(delta)
     if not (gamma > 1 and delta > 1):
         raise ParameterError(f"exponents must exceed 1, got gamma={gamma}, delta={delta}")
-    if isinstance(gamma, Fraction) and isinstance(delta, Fraction):
-        if Fraction(1) / gamma + Fraction(1) / delta != 1:
-            raise ParameterError(f"gamma={gamma} and delta={delta} are not conjugate")
-        return
-    defect = abs(1.0 / float(gamma) + 1.0 / float(delta) - 1.0)
-    if defect > policy.abs_eps + policy.rel_eps:
+    defect = abs(1 / gamma + 1 / delta - 1)  # a Fraction when both are rational
+    if defect > (0 if isinstance(defect, Fraction) else policy.abs_eps + policy.rel_eps):
         raise ParameterError(f"gamma={gamma} and delta={delta} are not conjugate")
+    return gamma, delta
 
 
-def _require_zero_initials(
-    f: GridFunction, a: int, k0: int, m: int, policy: TolerancePolicy, context: str
+def _admissible(
+    f: GridFunction, a: int, mu: FractionalOrder, p: int, k0: int, first: int, end: int, policy, context: str
 ) -> None:
-    """``∇^k f(a)`` must vanish for ``k0 ≤ k < m`` (a float within ``abs_eps``); the
-    caller has checked the window ``[a−m+1, a]``."""
+    """The one admissibility check of the bounds: base then shift, then the window
+    ``[a−m+1, end]`` with ``end ≥ first``, then ``∇^k f(a) = 0`` for ``k0 ≤ k < m``
+    (a float within ``abs_eps``)."""
+    m = mu.m
+    _check_base_shift(a, mu, p)
+    _check_window(f, a - m + 1, first, end)
     for k, v in enumerate(_initial_column(f, a, m)[k0:], k0):
         if v != 0 if isinstance(v, Fraction) else abs(v) > policy.abs_eps:
             raise BoundaryConditionError(
@@ -139,7 +146,23 @@ def _require_zero_initials(
             )
 
 
-def _fmt_param(value) -> Union[str, int, float]:
+def _float_range(report):
+    """``report`` with a float part beyond the double range (an ``OverflowError``
+    from ``float()``, an int/int division or a power) raising ``DomainError``."""
+
+    @wraps(report)
+    def checked(*args, **kwargs):
+        try:
+            return report(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"a report value overflows the float range ({exc})") from exc
+
+    return checked
+
+
+def _fmt_param(value) -> Union[str, int, float, list]:
+    if isinstance(value, list):
+        return list(map(_fmt_param, value))
     if isinstance(value, FractionalOrder):
         return str(value)
     if isinstance(value, Fraction):
@@ -187,9 +210,10 @@ def _make_report(
     policy: TolerancePolicy,
     squared: Optional[Tuple[Scalar, Scalar]] = None,
 ) -> InequalityReport:
-    """Slack, exact certificate and verdict of one bound.  ``squared =
-    (lhs², rhs²)`` certifies when both are rational; otherwise rational
-    ``lhs`` and ``rhs`` are compared directly."""
+    """Slack, exact certificate and verdict of one bound, with the parameter echo
+    formatted.  ``squared = (lhs², rhs²)`` certifies when both are rational;
+    otherwise rational ``lhs`` and ``rhs`` are compared directly."""
+    params = {key: _fmt_param(value) for key, value in params.items()}
     exact = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
     if squared is not None and all(isinstance(v, Fraction) for v in squared):
         lhs_sq, rhs_sq = squared
@@ -244,12 +268,12 @@ class OpialParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", as_order(self.mu).require_non_integer("weighted-product bound"))
-        object.__setattr__(self, "gamma", as_exponent(self.gamma))
-        object.__setattr__(self, "delta", as_exponent(self.delta))
+        gamma, delta = _conjugate_pair(self.gamma, self.delta, DEFAULT_TOLERANCE)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "delta", delta)
         if self.mu.value <= 2 or self.mu.m < 3:
             raise ParameterError(f"order must exceed 2 (ceiling >= 3), got {self.mu.value}")
         _check_base_shift(0, self.mu, self.p)  # opial_report checks its own base
-        _check_conjugate(self.gamma, self.delta, DEFAULT_TOLERANCE)
         for tau, v in enumerate(self.inner_weights.values, self.inner_weights.lo):
             if not v > 0:
                 raise ParameterError(f"inner weight at {tau} must be positive")
@@ -258,6 +282,7 @@ class OpialParams:
                 raise ParameterError(f"outer weight at {tp} must be non-negative")
 
 
+@_float_range
 def opial_report(
     f: GridFunction,
     a: int,
@@ -269,13 +294,10 @@ def opial_report(
     """Weighted product of ``|∇^p f|`` and the Caputo-like difference against
     the Hölder bound ``K·G^{1/δ}``."""
     _check_g_variant(g_variant)
-    mu, p = params.mu, params.p
+    mu, p, gamma, delta = params.mu, params.p, params.gamma, params.delta
     m = mu.m
-    _check_base_shift(a, mu, p)
-    _check_window(f, a - m + 1, a + m, t)
+    _admissible(f, a, mu, p, p, a + m, t, policy, "weighted-product bound")
     c, d = _weights(f, params.inner_weights, a + 1, t), _weights(f, params.outer_weights, a + m, t)
-    _require_zero_initials(f, a, p, m, policy, "weighted-product bound")
-    gamma, delta = params.gamma, params.delta
 
     cn, dc = _caputo(f, a + 1, mu, t)
     (cs, dcs), (ds, dd) = _scaled(c), _scaled(d)
@@ -284,17 +306,20 @@ def opial_report(
     g_pow, dg = _powers([x * abs(y) for x, y in zip(cs, cn)], dcs * dc, delta)
     g_nums = list(accumulate(g_pow))
     window = range(m - 1, t - a)
-    if _classify_exponent(gamma)[0] and f.backend is Backend.EXACT:
-        wp, dw = _powers(*_scaled_kernel(mu.value - p, t - a, f.backend), gamma)
-        us, du = _scaled(c, invert=True)
-        up, dup = _powers(us, du, gamma)
-        theta, dtheta = _convolve(wp, up, window), dw * dup
+    wn, dw = _scaled_kernel(mu.value - p, t - a, f.backend)
+    us, du = _scaled(c, invert=True)
+    up, dup = _powers(us, du, gamma)
+    if isinstance(dup, int):  # integer powers: θ^γ is one convolution of w^γ with (1/C)^γ
+        wp, dwp = _powers(wn, dw, gamma)
+        theta, dtheta = _convolve(wp, up, window), dwp * dup
         kp, dk = _powers([x * u for x, u in zip(ds, us[m - 1 :])], dd * du, gamma)
-        k_pow = Fraction(reduce(add, map(mul, kp, theta)), dk * dtheta)
-    else:
-        w, e = kernel_weights(mu.value - p, t - a, f.backend), _classify_exponent(gamma)[1]
-        theta, dtheta = [reduce(add, ((x / y) ** e for x, y in zip(w[k::-1], c))) for k in window], 1.0
-        k_pow = reduce(add, ((x / y) ** gamma * s for x, y, s in zip(d, c[m - 1 :], theta)), 0)
+    else:  # per term: w/C = (w·d_C)/(d_w·C) rounds once, as float() rounds the Fraction
+        wd, cd = [x * dcs for x in wn], [dw * y for y in cs]
+        quotients = chain.from_iterable(map(truediv, wd[k::-1], cd) for k in window)
+        powers, dtheta = _powers(quotients, 1.0, gamma)
+        theta = [reduce(add, islice(powers, k + 1)) for k in window]
+        kp, dk = _powers(map(truediv, [x * dcs for x in ds], [dd * y for y in cs[m - 1 :]]), 1.0, gamma)
+    k_pow = _scalar(reduce(add, map(mul, kp, theta), 0), dk * dtheta)
     k_factor = _root(k_pow, gamma)
     pn, dp = _scaled_differences(f, a + m, p, t)
     lhs_terms = (x * abs(v) * abs(y) for x, v, y in zip(ds, pn, cn[m - 1 :]))
@@ -313,15 +338,7 @@ def opial_report(
         "k_factor": to_float(k_factor),
         "max_caputo": max(map(abs, cn)) / dc,
     }
-    params_echo = {
-        "a": a,
-        "t": t,
-        "mu": _fmt_param(mu),
-        "p": p,
-        "gamma": _fmt_param(gamma),
-        "delta": _fmt_param(delta),
-        "g_variant": g_variant,
-    }
+    params_echo = dict(a=a, t=t, mu=mu, p=p, gamma=gamma, delta=delta, g_variant=g_variant)
     squared = (lhs * lhs, k_pow * chosen) if gamma == delta == 2 else None
     return _make_report("opial", params_echo, lhs, rhs, components, policy, squared)
 
@@ -349,6 +366,7 @@ def opial_corollary_25(
     return dataclasses.replace(report, name="opial-25", components=components)
 
 
+@_float_range
 def ostrowski_report(
     f: GridFunction,
     a: int,
@@ -361,9 +379,7 @@ def ostrowski_report(
     the telescoped kernel-mass bound.  Rational end to end on the exact backend."""
     mu = as_order(mu).require_non_integer("average-deviation bound")
     m = mu.m
-    _check_base_shift(a, mu, p)
-    _check_window(f, a - m + 1, a + m + 1, b)
-    _require_zero_initials(f, a, p + 1, m, policy, "average-deviation bound")
+    _admissible(f, a, mu, p, p + 1, a + m + 1, b, policy, "average-deviation bound")
 
     count = b - a - m
     pn, dp = _scaled_differences(f, a + m + 1, p, b)
@@ -382,7 +398,7 @@ def ostrowski_report(
         "coefficient": to_float(coefficient),
         "max_caputo": to_float(max_cap),
     }
-    params_echo = {"a": a, "b": b, "mu": _fmt_param(mu), "p": p}
+    params_echo = dict(a=a, b=b, mu=mu, p=p)
     return _make_report("ostrowski", params_echo, lhs, rhs, components, policy)
 
 
@@ -402,12 +418,14 @@ def _kernel_power_sums(
     ``w[j−a−1]^γ, …, w[0]^γ`` (descending n), which fixes their bits."""
     powers, dp = _powers(*_scaled_kernel(order, b - a, backend), gamma)
     if isinstance(dp, float):
+        powers = list(powers)
         inner = [reduce(add, powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1)]
     else:
         inner = list(accumulate(powers))[m_start - 1 :]
     return _power_sum(inner, dp, outer_exp)
 
 
+@_float_range
 def _norm_report(
     f: GridFunction,
     a: int,
@@ -424,14 +442,10 @@ def _norm_report(
     exponent ``r/γ``.  ``r=None`` is the Poincaré type: ``r = δ``, no roots."""
     mu = as_order(mu).require_non_integer("norm bound")
     m = mu.m
-    gamma = as_exponent(gamma)
-    delta = as_exponent(delta)
+    gamma, delta = _conjugate_pair(gamma, delta, policy)
     poincare = r is None
     r = delta if poincare else _norm_exponent(r)
-    _check_conjugate(gamma, delta, policy)
-    _check_base_shift(a, mu, p)
-    _check_window(f, a - m + 1, a + m, b)
-    _require_zero_initials(f, a, p, m, policy, "norm bound")
+    _admissible(f, a, mu, p, p, a + m, b, policy, "norm bound")
 
     pn, dp = _scaled_differences(f, a + m, p, b)
     lhs_pow = _power_sum(map(abs, pn), dp, r)
@@ -445,18 +459,11 @@ def _norm_report(
         "caputo_norm": to_float(caputo_norm),
         "max_caputo": max(cap_abs) / dc,
     }
-    params_echo = {
-        "a": a,
-        "b": b,
-        "mu": _fmt_param(mu),
-        "p": p,
-        "gamma": _fmt_param(gamma),
-        "delta": _fmt_param(delta),
-    }
+    params_echo = dict(a=a, b=b, mu=mu, p=p, gamma=gamma, delta=delta)
     if poincare:
         rhs = kernel_factor * caputo_norm
         return _make_report("poincare", params_echo, lhs_pow, rhs, components, policy)
-    params_echo["r"] = _fmt_param(r)
+    params_echo["r"] = r
     lhs = _root(lhs_pow, r)
     rhs = _root(kernel_factor, r) * _root(caputo_norm, delta)
     squared = (lhs_pow, kernel_factor * caputo_norm) if gamma == delta == r == 2 else None
@@ -493,6 +500,7 @@ def sobolev_report(
     return _norm_report(f, a, b, mu, p, gamma, delta, r, policy)
 
 
+@_float_range
 def avg_sobolev_report(
     f: GridFunction,
     a: int,
@@ -515,10 +523,8 @@ def avg_sobolev_report(
     r = _norm_exponent(r)
     k = len(orders)
     m_top = orders[-1].m
-    _check_base_shift(a, orders[-1], 0)  # the averaged bound is on f itself, p = 0
-    _check_window(f, a - m_top + 1, a + m_top + 1, b)
-    _require_zero_initials(f, a, 0, m_top, policy, "averaged norm bound")
-    backend = f.backend
+    # the averaged bound is on f itself, p = 0
+    _admissible(f, a, orders[-1], 0, 0, a + m_top + 1, b, policy, "averaged norm bound")
     weights = [_weights(f, C, a + 1, b) for C in weight_grids]
     for c in weights:
         for tau, v in enumerate(c, a + 1):
@@ -531,10 +537,8 @@ def avg_sobolev_report(
         (cn, dc), (cs, dcs) = _caputo(f, a + 1, order, b), _scaled(c)
         b_terms.append(_scalar(reduce(add, (x * v * v for x, v in zip(cs, cn)), 0), dcs * dc * dc))
 
-    delta_star = max(
-        (_kernel_power_sums(o.value, a, o.m, b, two, r / two, backend) ** (two / r) for o in orders),
-        key=to_float,
-    )
+    kernel_sums = (_kernel_power_sums(o.value, a, o.m, b, two, r / two, f.backend) for o in orders)
+    delta_star = max((_power_sum(*_scaled([x]), two / r) for x in kernel_sums), key=to_float)
     rho_star = max(1 / x for c in weights for x in c)
 
     f_nums, df = _scaled_differences(f, a + m_top, 0, b)
@@ -550,12 +554,6 @@ def avg_sobolev_report(
         "delta_star": to_float(delta_star),
         "rho_star": to_float(rho_star),
     }
-    params_echo = {
-        "a": a,
-        "b": b,
-        "mu_list": [_fmt_param(o) for o in orders],
-        "r": _fmt_param(r),
-        "k": k,
-    }
+    params_echo = dict(a=a, b=b, mu_list=orders, r=r, k=k)
     squared = (lhs_pow, rhs_sq) if r == 2 else None
     return _make_report("avg-sobolev", params_echo, lhs, rhs, components, policy, squared)

@@ -559,6 +559,13 @@ class TestPackedBoundaries:
                 f = GridFunction(4, (0,) + tuple(accumulate(h)))
                 assert caputo_nabla_grid(f, 5, mu).values == naive_grid(1 - mu, h)
 
+    def test_sign_bit_of_a_field(self):
+        # a near-flat kernel on all-extreme negative values fills each field up to its
+        # sign bit: a field one bit narrower reads one of these 31 sums wrong
+        values = [-(2**PACKED_BITS - 1)] * 31
+        f = GridFunction(0, tuple(values))
+        assert frac_sum_grid(f, 0, Fraction(3, 2)).values == naive_grid(Fraction(3, 2), values)
+
     def test_window_past_the_start(self):
         # a series from t = a+m convolves the outputs k = m−1, …, so its first
         # block starts inside the kernel; a polynomial of degree < m has zero

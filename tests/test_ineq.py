@@ -10,6 +10,7 @@ import pytest
 from nablafrac import (
     Backend,
     BoundaryConditionError,
+    DomainError,
     FunctionSpec,
     GridFunction,
     OpialParams,
@@ -90,6 +91,42 @@ class TestGBound:
         g = GridFunction(1, (1, 2, 3, 4))
         with pytest.raises(ParameterError):
             g_bound(g, 0, 3, 4, "loose")
+
+    @staticmethod
+    def convex_series(length, top):
+        """Every nondecreasing, non-negative, convex integer series of ``length``
+        values at most ``top``."""
+
+        def grow(vals):
+            if len(vals) == length:
+                yield vals
+                return
+            step = vals[-1] - vals[-2] if len(vals) > 1 else 0
+            for nxt in range(vals[-1] + step, top + 1):
+                yield from grow(vals + [nxt])
+
+        for g0 in range(top + 1):
+            yield from grow([g0])
+
+    def test_tight_dominates_every_small_convex_series(self):
+        # the claim checked: for every nondecreasing, non-negative, convex integer
+        # series of length 3..8 with values <= 12 (3,648 series), the tight bound is
+        # at least the accumulated product Σ_{t'=a+m}^{t} g(t')·(g(t')−g(t'−1))
+        count = 0
+        for length in range(3, 9):
+            for vals in self.convex_series(length, 12):
+                g = GridFunction(1, tuple(vals))
+                product = sum(vals[i] * (vals[i] - vals[i - 1]) for i in range(2, length))
+                assert g_bound(g, 0, 3, length, "tight") >= product, vals
+                count += 1
+        assert count == 3648
+
+    def test_tight_fails_on_the_smallest_non_convex_series(self):
+        # (0, 1, 1) is nondecreasing but not convex: the accumulated product is 0,
+        # the tight bound goes negative and only the paper bound still holds
+        g = GridFunction(1, (0, 1, 1))
+        assert g_bound(g, 0, 3, 3, "tight") == Fraction(-3, 2)
+        assert g_bound(g, 0, 3, 3, "paper") == Fraction(5, 2)
 
 
 class TestOpial:
@@ -472,6 +509,38 @@ class TestVerdict:
         assert report.holds is False
 
 
+class TestFloatRange:
+    """A report whose float part leaves the double range raises ``DomainError``."""
+
+    @staticmethod
+    def big_grid(scale, backend=Backend.EXACT):
+        f = GridFunction(-3, tuple(scale * max(t, 0) for t in range(-3, 13)))
+        return f.as_float() if backend is Backend.FLOAT else f
+
+    @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+    def test_every_family(self, backend):
+        f = self.big_grid(10**200, backend)
+        one = 1.0 if backend is Backend.FLOAT else Fraction(1)
+        C, D = GridFunction.constant(1, 10, one), GridFunction.constant(3, 10, one)
+        params = OpialParams(mu=FIVE_HALVES, p=0, gamma=2, delta=2, inner_weights=C, outer_weights=D)
+        calls = [
+            lambda: opial_report(f, 0, 10, params),
+            lambda: poincare_report(f, 0, 10, FIVE_HALVES, 0),
+            lambda: sobolev_report(f, 0, 10, FIVE_HALVES, 0),
+            lambda: avg_sobolev_report(f, 0, 10, [FIVE_HALVES], [C]),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="overflows the float range"):
+                call()
+
+    def test_ostrowski(self):
+        # rational end to end, so only its float components overflow, from about 10^308
+        f = self.big_grid(10**320)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            ostrowski_report(f, 0, 10, FIVE_HALVES, 0)
+        assert ostrowski_report(self.big_grid(10**200), 0, 10, FIVE_HALVES, 0).holds
+
+
 def raw_rising(n, alpha):
     """Independent raw rising power via log-gamma (float oracle)."""
     if n == 0:
@@ -665,7 +734,7 @@ class TestFloatOrder:
     """Float reports equal plain ascending loops from ``0.0``, bit for bit:
     every sum in the evaluators adds left to right, on every Python version."""
 
-    @pytest.mark.parametrize("gamma, delta", [(2, 2), (3, Fraction(3, 2))])
+    @pytest.mark.parametrize("gamma, delta", [(2, 2), (3, Fraction(3, 2)), (Fraction(3, 2), 3)])
     def test_opial(self, gamma, delta):
         rng = random.Random(11)
         for _ in range(8):

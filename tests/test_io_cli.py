@@ -381,6 +381,14 @@ class TestCli:
         assert "remainder: 60" in out
         assert "total: 27" in out
 
+    def test_taylor_integer_order_rejects_a_shift(self, cube_csv, capsys):
+        # the integer form expands f itself: --p 1 would print f(4) = 64, not ∇f(4) = 37
+        code = main(["taylor", "--input", cube_csv, "--a", "0", "--mu", "3", "--p", "1", "--t", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --p 1 needs a non-integer --mu")
+        assert main(["taylor", "--input", cube_csv, "--a", "0", "--mu", "3", "--p", "0", "--t", "4"]) == 0
+        assert "total: 64" in capsys.readouterr().out
+
     def test_bound_subcommand(self, cube_csv, capsys):
         code = main(
             ["bound", "--input", cube_csv, "--a", "0", "--mu", "5/2", "--p", "0", "--t", "3"]
@@ -516,6 +524,14 @@ class TestCli:
         argv = ["bound", "--input", str(path), "--backend", "float", "--a", "0", "--mu", "601/2", "--t", "2000"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_report_float_overflow_is_exit_2(self, tmp_path, capsys):
+        # exact values near 10^200 square beyond the double range in the float part
+        path = tmp_path / "big.csv"
+        rows = "".join(f"{t},{10**200 * max(t, 0)}\n" for t in range(-3, 11))
+        path.write_text("t,value\n" + rows, encoding="utf-8")
+        assert main(["ineq", "sobolev", "--input", str(path), "--a", "0", "--b", "10", "--mu", "5/2"]) == 2
+        assert capsys.readouterr().err.startswith("error: a report value overflows the float range")
 
     def test_usage_error_from_argparse(self, capsys):
         assert main(["frobnicate"]) == 2

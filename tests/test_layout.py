@@ -181,3 +181,33 @@ def test_one_window_check():
             if isinstance(node, ast.Call) and _name(node.func) == "WindowError" and id(node) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno} raises its own WindowError")
     assert offenders == []
+
+
+def test_one_power_primitive():
+    # every x^e in the bound evaluators is raised in ineq._powers, and _root is the
+    # one root: '**' and pow appear nowhere else, the exponent is classified only
+    # there and in as_exponent, and the kernel comes from the scaled rows, never
+    # from the public kernel_weights
+    tree = ast.parse((SOURCE / "ineq.py").read_text(encoding="utf-8"), filename="ineq.py")
+    homes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            homes.update((id(inner), node.name) for inner in ast.walk(node))
+    rules = {
+        "power": ("_powers", "_root"),
+        "_classify_exponent": ("_powers", "as_exponent"),
+        "kernel_weights": (),
+    }
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow) or _name(node) == "pow":
+            rule = "power"
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in rules:
+            rule = _name(node)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "kernel_weights" for alias in node.names):
+            rule = "kernel_weights"
+        else:
+            continue
+        if homes.get(id(node)) not in rules[rule]:
+            offenders.append(f"ineq.py:{node.lineno} {rule} in {homes.get(id(node), 'module scope')}")
+    assert offenders == []
