@@ -15,9 +15,10 @@ from .errors import NablaFracError, UsageError
 from .fracops import as_order, caputo_nabla, frac_sum
 from .grid import GridFunction
 from .gridio import format_scalar, read_grid, render_report, to_json
-from .harness import run_identity_suite, run_inequality_suite
+from .harness import _INEQUALITY_SUITES, _suite, run_identity_suite, run_inequality_suite
 from .ineq import (
     OpialParams,
+    _unit_weights,
     avg_sobolev_report,
     opial_corollary_25,
     opial_report,
@@ -25,7 +26,7 @@ from .ineq import (
     poincare_report,
     sobolev_report,
 )
-from .scalars import Backend, _cast, parse_order
+from .scalars import Backend, parse_order
 from .taylor import remainder_bound, taylor_extended, taylor_fractional, taylor_integer
 
 __all__ = ["build_parser", "main"]
@@ -171,11 +172,11 @@ def _ineq_params(args) -> dict:
 
 def _single_report(args):
     name = args.suite
+    _suite(_INEQUALITY_SUITES, "inequality", name)  # an unknown name fails before the file is read
     f = _load_grid(args)
     opts = _ineq_params(args)
     gamma, delta, r = (opts.get(key, 2) for key in ("gamma", "delta", "r"))
     p = opts.get("p", 0)
-    one = _cast(f.backend, 1)
     if name == "opial":
         _require(args, "a", "t", "mu")
         mu = as_order(args.mu)
@@ -184,8 +185,8 @@ def _single_report(args):
             p=p,
             gamma=gamma,
             delta=delta,
-            inner_weights=GridFunction.constant(args.a + 1, args.t, one),
-            outer_weights=GridFunction.constant(args.a + mu.m, args.t, one),
+            inner_weights=_unit_weights(f, args.a + 1, args.t),
+            outer_weights=_unit_weights(f, args.a + mu.m, args.t),
         )
         return opial_report(f, args.a, args.t, params, args.g_variant)
     if name == "opial-25":
@@ -200,12 +201,9 @@ def _single_report(args):
     if name == "sobolev":
         _require(args, "a", "b", "mu")
         return sobolev_report(f, args.a, args.b, args.mu, p, gamma, delta, r)
-    if name == "avg-sobolev":
-        _require(args, "a", "b", "mu")
-        mu = as_order(args.mu)
-        weights = [GridFunction.constant(args.a + 1, args.b, one)]
-        return avg_sobolev_report(f, args.a, args.b, [mu], weights, r)
-    raise UsageError(f"unknown inequality {name!r}")
+    _require(args, "a", "b", "mu")  # avg-sobolev
+    mu = as_order(args.mu)
+    return avg_sobolev_report(f, args.a, args.b, [mu], [_unit_weights(f, args.a + 1, args.b)], r)
 
 
 def _cmd_ineq(args) -> int:

@@ -95,49 +95,8 @@ _KERNEL_CACHE_ROWS = 512  # the kernel cache keeps the rows of this many (order,
 
 @lru_cache(maxsize=_KERNEL_CACHE_ROWS)
 def _kernel_slot(num: int, den: int, exact: bool) -> list:
-    """The cache slot of the order ``num/den`` on one backend."""
-    return [([1], [1], (1, 1, 1)) if exact else ((1.0,),)]
-
-
-def _kernel_row(nu, length: int, exact: bool) -> list:
-    """The cache slot of the rational order ν = p/q with its row grown to at least
-    ``length`` weights.  A float row is ``(weights,)``, grown by the float recurrence.
-    An exact row is ``(lcms, nums, last)``: the prefix lcms of the reduced
-    denominators, the numerators over the last lcm, and the last weight as a reduced
-    ``(num, den)`` with ``lcm // den``.  The integers grow against the small
-    factors ``p+q(n−1)`` and ``qn`` of ``w(n+1) = w(n)·(p+q(n−1))/(qn)``, so every
-    gcd and division has one small operand.  Growth replaces the row whole, for
-    concurrent readers."""
-    p, q = nu.numerator, nu.denominator
-    slot = _kernel_slot(p, q, exact)
-    row = slot[0]
-    start = len(row[0])
-    if start >= length:
-        return slot
-    if not exact:
-        ws, step = list(row[0]), float(nu)
-        for n in range(start, length):
-            ws.append(ws[-1] * (step + n - 1) / n)
-        slot[0] = (tuple(ws),)
-        return slot
-    lcms, nums, (a, b, ratio) = row
-    lcms, big = list(lcms), lcms[-1]
-    for n in range(start, length):
-        x, y = p + q * (n - 1), q * n
-        g = math.gcd(x, y)
-        x, y = x // g, y // g
-        g1, g2 = math.gcd(a, y), math.gcd(x, b)
-        a, y, c = a // g1 * (x // g2), y // g1, b // g2
-        # the new den c·y with c | big: lcm(big, c·y) = big·y / gcd(big/c, y)
-        g = math.gcd(ratio * g2, y)
-        b, big, ratio = c * y, big * (y // g), ratio * g2 // g
-        lcms.append(big)
-    scale = big // lcms[start - 1]
-    nums = [x * scale for x in nums]
-    for n in range(start, length):
-        nums.append(nums[-1] * (p + q * (n - 1)) // (q * n))
-    slot[0] = (lcms, nums, (a, b, ratio))
-    return slot
+    """The cache slot of the order ``num/den`` on one backend: a list holding its row."""
+    return [([1], [1]) if exact else (1.0,)]
 
 
 def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
@@ -155,15 +114,42 @@ kernel_cache_info = _kernel_slot.cache_info
 
 
 def _scaled_kernel(nu, length: int, backend: Backend) -> tuple:
-    """``kernel_weights(nu, length, backend)`` in the scaled form: exact numerators
-    over the first ``length`` denominators' lcm, cut from the cached row."""
+    """``kernel_weights(nu, length, backend)`` in the scaled form, cut from the cached
+    row of ν = p/q grown to at least ``length`` weights; growth replaces the row
+    whole, for concurrent readers.  A float row is the weights, grown by the float
+    recurrence.  An exact row is ``(dens, nums)``.  ``dens[n]``, the reduced
+    denominator of ``w(n+1)``, is q^n times the part of n! made of the primes of q:
+    no factor ``p+q(j−1)`` of the numerator shares a prime with q, and n of them
+    carry every other prime of n!.  ``nums`` are the weights over ``dens[-1]``,
+    grown by ``w(n+1) = w(n)·(p+q(n−1))/(qn)``."""
+    p, q = nu.numerator, nu.denominator
     exact = backend is Backend.EXACT
-    row = _kernel_row(nu, length, exact)[0]
+    slot = _kernel_slot(p, q, exact)
     if not exact:
-        return row[0][:length], 1.0
-    lcms, nums = row[0], row[1]
-    d, ratio = lcms[length - 1], lcms[-1] // lcms[length - 1]
-    return (nums[:length] if ratio == 1 else [x // ratio for x in nums[:length]]), d
+        ws = slot[0]
+        if len(ws) < length:
+            ws, step = list(ws), float(nu)
+            for n in range(len(ws), length):
+                ws.append(ws[-1] * (step + n - 1) / n)
+            slot[0] = ws = tuple(ws)
+        return ws[:length], 1.0
+    dens, nums = slot[0]
+    start = len(dens)
+    if start < length:
+        dens = list(dens)
+        for n in range(start, length):
+            k, g = n, math.gcd(n, q)
+            while g > 1:  # ends because g divides k: k loses the primes of q
+                k //= g
+                g = math.gcd(k, q)
+            dens.append(dens[-1] * q * (n // k))
+        scale = dens[-1] // dens[start - 1]
+        nums = [x * scale for x in nums]
+        for n in range(start, length):
+            nums.append(nums[-1] * (p + q * (n - 1)) // (q * n))
+        slot[0] = (dens, nums)
+    ratio = dens[-1] // dens[length - 1]
+    return (nums[:length] if ratio == 1 else [x // ratio for x in nums[:length]]), dens[length - 1]
 
 
 @dataclass(frozen=True)
@@ -194,20 +180,19 @@ _PACK_MIN_OUTPUTS = 16  # fewest outputs of a call that packs
 _PACK_MAX_BITS = 32  # widest small operand of a call that packs
 
 
-def _convolve(w: Sequence, v: Sequence, ks: Sequence[int], acc=0) -> list:
-    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``ks``, added in
+def _convolve(w: Sequence, v: Sequence, lo: int, hi: int, acc=0) -> list:
+    """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``lo .. hi``, added in
     ascending ``i`` from ``acc``: floats, or the integer numerators of exact
     values in the scaled form.
 
-    An integer call with many outputs over a contiguous span and a small ``v``
-    packs ``_PACK`` kernel entries into each word, ``words[j] = Σ_u w[j−_PACK+1+u]·2^{uS}``
-    with ``w`` ≥ 0 and zero outside its range, so one dot product against ``v`` gives
-    the outputs ``k0 .. k0+_PACK−1`` as signed S-bit fields, read from low to high
-    with a borrow.  ``S`` leaves room for every sum, so the outputs are the same."""
-    if len(ks) >= _PACK_MIN_OUTPUTS and type(w[0]) is type(v[0]) is int:
-        lo, hi = min(ks), max(ks)
+    An integer call with many outputs and a small ``v`` packs ``_PACK`` kernel
+    entries into each word, ``words[j] = Σ_u w[j−_PACK+1+u]·2^{uS}`` with ``w`` ≥ 0
+    and zero outside its range, so one dot product against ``v`` gives the outputs
+    ``k0 .. k0+_PACK−1`` as signed S-bit fields, read from low to high with a
+    borrow.  ``S`` leaves room for every sum, so the outputs are the same."""
+    if hi + 1 - lo >= _PACK_MIN_OUTPUTS and type(w[0]) is type(v[0]) is int:
         kw, vbits = list(w[: hi + 1]), max(map(abs, v[: hi + 1])).bit_length()
-        if hi - lo < len(ks) and vbits <= _PACK_MAX_BITS and min(kw) >= 0:
+        if vbits <= _PACK_MAX_BITS and min(kw) >= 0:
             size = max(kw).bit_length() + vbits + (hi + 1).bit_length() + 1
             top, mask, sign = (_PACK - 1) * size, (1 << size) - 1, 1 << (size - 1)
             words, word = [], 0
@@ -224,35 +209,34 @@ def _convolve(w: Sequence, v: Sequence, ks: Sequence[int], acc=0) -> list:
                         field -= mask + 1
                         block += 1
                     outs.append(acc + field)
-            return [outs[k - lo] for k in ks]
-    return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in ks]
+            return outs
+    return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in range(lo, hi + 1)]
 
 
-def _sums(f: GridFunction, a: int, order, m: int, hi: int, ks: Sequence[int] = None) -> tuple:
+def _sums(f: GridFunction, a: int, order, m: int, hi: int, first: int = 0) -> tuple:
     """The checked order-``order`` fractional sums of ``∇^m f`` from base ``a`` at
-    ``a+k`` for each ``k`` in ``ks`` (default every point of ``[a, hi]``), in the
-    scaled form.  The one range rule of every fractional sum and Caputo-like
-    difference: ``hi ≥ a``, then ``f`` covers ``[a−m, hi]``."""
+    every point of ``[a+first, hi]``, in the scaled form.  The one range rule of
+    every fractional sum and Caputo-like difference: ``hi ≥ a``, then ``f`` covers
+    ``[a−m, hi]``."""
     if hi < a:
         raise EmptyRangeError(f"sum range needs t >= a, got t={hi} < a={a}")
     f.require_window(a - m, hi)
-    ks = range(hi - a + 1) if ks is None else ks
     vs, dv = _scaled_differences(f, a, m, hi)
-    ws, dw = _scaled_kernel(order, max(ks) + 1, f.backend)
-    return _convolve(ws, vs, ks), dw * dv
+    ws, dw = _scaled_kernel(order, hi - a + 1, f.backend)
+    return _convolve(ws, vs, first, hi - a), dw * dv
 
 
-def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int, ks: Sequence[int] = None) -> tuple:
-    """The checked Caputo-like differences of ``f`` from base ``a`` at ``a+k`` for
-    each ``k`` in ``ks`` (default every point of ``[a, hi]``), in the scaled form."""
+def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int, first: int = 0) -> tuple:
+    """The checked Caputo-like differences of ``f`` from base ``a`` at every point
+    of ``[a+first, hi]``, in the scaled form."""
     mu = as_order(mu).require_non_integer("caputo-like nabla difference")
-    return _sums(f, a, mu.m - mu.value, mu.m, hi, ks)
+    return _sums(f, a, mu.m - mu.value, mu.m, hi, first)
 
 
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     """Order-ν backward fractional sum of ``f`` from base ``a`` at ``t``:
     ``Σ_{s=a}^{t} w_ν(t−s+1)·f(s)``.  Integer ν reproduces the iterated sum."""
-    (dot,), d = _sums(f, a, as_order(nu).value, 0, t, (t - a,))
+    (dot,), d = _sums(f, a, as_order(nu).value, 0, t, t - a)
     return _scalar(dot, d)
 
 
@@ -277,7 +261,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
 def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
     """Caputo-like backward difference of non-integer order μ: the fractional
     sum of order ``m−μ`` (m = ⌈μ⌉) applied to the m-th backward difference."""
-    (dot,), d = _caputo(f, a, mu, t, (t - a,))
+    (dot,), d = _caputo(f, a, mu, t, t - a)
     return _scalar(dot, d)
 
 

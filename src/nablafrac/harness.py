@@ -32,7 +32,6 @@ from .grid import GridFunction, _differences
 from .ineq import (
     InequalityReport,
     OpialParams,
-    _verdict,
     avg_sobolev_report,
     opial_corollary_25,
     opial_report,
@@ -400,18 +399,14 @@ def run_identity_suite(
 ) -> SuiteResult:
     """Run ``trials`` randomized checks of the named identity.
 
-    Exact backend: any nonzero defect is a failure.  Float backend: a pair
-    failing :func:`scalar_close` under ``policy`` is a failure.  The absolute
-    defect of the worst pair is reported either way.
+    A pair failing :func:`scalar_close` under ``policy`` is a failure, so two
+    exact values must be equal.  The absolute defect of the worst pair is reported.
     """
     trial_fn = _suite(_IDENTITY_SUITES, "identity", name)
 
     def judge(rng: random.Random) -> Tuple[bool, List[float]]:
         pairs = trial_fn(rng, backend)
-        if backend is Backend.EXACT:
-            failed = any(got != want for got, want in pairs)
-        else:
-            failed = not all(scalar_close(got, want, policy) for got, want in pairs)
+        failed = not all(scalar_close(got, want, policy) for got, want in pairs)
         return failed, [abs(to_float(got) - to_float(want)) for got, want in pairs]
 
     return _run_trials(name, trials, master_seed, backend, judge, max, 0.0)
@@ -427,7 +422,7 @@ def _draw_weight(rng: random.Random, allow_zero: bool = False) -> Fraction:
     return Fraction(num, den)
 
 
-def _trial_opial(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _trial_opial(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
         rng, Fraction(2), Fraction(3), non_integer=True
     ))
@@ -449,13 +444,13 @@ def _trial_opial(rng: random.Random, backend: Backend, opts: dict) -> Inequality
         inner_weights=inner,
         outer_weights=outer,
     )
-    return opial_report(f, a, t, params, opts.get("g_variant", "paper"))
+    return opial_report(f, a, t, params, opts.get("g_variant", "paper"), policy)
 
 
-def _trial_opial_25(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _trial_opial_25(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     t = 3 + rng.randint(0, 17)
     f = _maybe_float_grid(_spec_function(rng, 0, 3, t, k0=0), backend)
-    return opial_corollary_25(f, t)
+    return opial_corollary_25(f, t, policy)
 
 
 def _draw_shifted_instance(
@@ -477,24 +472,24 @@ def _draw_shifted_instance(
     return mu, p, a, b, f
 
 
-def _trial_ostrowski(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _trial_ostrowski(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: min(p + 1, m))
-    return ostrowski_report(f, a, b, mu, p)
+    return ostrowski_report(f, a, b, mu, p, policy)
 
 
-def _trial_poincare(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _trial_poincare(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: p)
-    return poincare_report(f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2))
+    return poincare_report(f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2), policy)
 
 
-def _trial_sobolev(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _trial_sobolev(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: p)
     return sobolev_report(
-        f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2), opts.get("r", 2)
+        f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2), opts.get("r", 2), policy
     )
 
 
-def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict) -> InequalityReport:
+def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     if opts.get("mu_list"):
         orders = [as_order(o) for o in opts["mu_list"]]
     else:
@@ -514,10 +509,10 @@ def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict) -> Ineq
             num = rng.randint((den + 1) // 2, 2 * den)
             vals.append(Fraction(num, den))
         weights.append(_maybe_float_grid(GridFunction._of(a + 1, tuple(vals)), backend))
-    return avg_sobolev_report(f, a, b, orders, weights, opts.get("r", 2))
+    return avg_sobolev_report(f, a, b, orders, weights, opts.get("r", 2), policy)
 
 
-_INEQUALITY_SUITES: Dict[str, Callable[[random.Random, Backend, dict], InequalityReport]] = {
+_INEQUALITY_SUITES: Dict[str, Callable[[random.Random, Backend, dict, TolerancePolicy], InequalityReport]] = {
     "opial": _trial_opial,
     "opial-25": _trial_opial_25,
     "ostrowski": _trial_ostrowski,
@@ -539,16 +534,15 @@ def run_inequality_suite(
 ) -> SuiteResult:
     """Run ``trials`` randomized bound evaluations of the named family.
 
-    A trial fails when its report does not hold under ``policy``, decided by
-    the same rule as :attr:`InequalityReport.holds` (NaN first, then an exact
-    certificate, then the slack tolerance).
+    Each report is built under ``policy``, and a trial fails when it does not
+    hold (:attr:`InequalityReport.holds`: NaN first, then an exact certificate,
+    then the slack tolerance).
     """
     trial_fn = _suite(_INEQUALITY_SUITES, "inequality", name)
 
     def judge(rng: random.Random) -> Tuple[bool, Tuple[float]]:
-        report = trial_fn(rng, backend, params)
-        failed = not _verdict(report.rhs, report.slack, report.components, policy)
-        return failed, (to_float(report.slack),)
+        report = trial_fn(rng, backend, params, policy)
+        return not report.holds, (to_float(report.slack),)
 
     result = _run_trials(name, trials, master_seed, backend, judge, min, math.inf)
     if math.isinf(result.worst_slack):
@@ -568,4 +562,5 @@ def replay_inequality_trial(
     name: str, trial_seed: int, backend: Backend = Backend.EXACT, **params
 ) -> InequalityReport:
     """Re-run the single inequality trial behind a recorded seed."""
-    return _suite(_INEQUALITY_SUITES, "inequality", name)(random.Random(trial_seed), backend, params)
+    trial_fn = _suite(_INEQUALITY_SUITES, "inequality", name)
+    return trial_fn(random.Random(trial_seed), backend, params, DEFAULT_TOLERANCE)

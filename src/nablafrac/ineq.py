@@ -105,6 +105,12 @@ def _weights(f: GridFunction, C: GridFunction, lo: int, hi: int) -> tuple:
     return C.values[lo - C.lo : hi + 1 - C.lo]
 
 
+def _unit_weights(f: GridFunction, lo: int, end: int) -> GridFunction:
+    """Weight 1 on ``[lo, end]`` in the backend of ``f``, one point when ``end < lo``, so
+    the report's own window check judges ``end``."""
+    return GridFunction.constant(lo, max(end, lo), _cast(f.backend, 1))
+
+
 def _norm_exponent(r) -> Exponent:
     """The outer norm exponent ``r ≥ 1`` of the Sobolev-type bounds."""
     r = as_exponent(r)
@@ -311,7 +317,7 @@ def opial_report(
     up, dup = _powers(us, du, gamma)
     if isinstance(dup, int):  # integer powers: θ^γ is one convolution of w^γ with (1/C)^γ
         wp, dwp = _powers(wn, dw, gamma)
-        theta, dtheta = _convolve(wp, up, window), dwp * dup
+        theta, dtheta = _convolve(wp, up, m - 1, t - a - 1), dwp * dup
         kp, dk = _powers([x * u for x, u in zip(ds, us[m - 1 :])], dd * du, gamma)
     else:  # per term: w/C = (w·d_C)/(d_w·C) rounds once, as float() rounds the Fraction
         wd, cd = [x * dcs for x in wn], [dw * y for y in cs]
@@ -349,15 +355,13 @@ def opial_corollary_25(
     """Specialised weighted-product bound of order 5/2 about base 0 with unit
     weights and square exponents; requires ``f(0) = f(−1) = f(−2) = 0``, which
     :func:`opial_report` checks as the vanishing initial differences."""
-    _check_window(f, -2, 3, t)  # before the unit weights, which need t >= 1
-    one = _cast(f.backend, 1)
     params = OpialParams(
         mu=Fraction(5, 2),
         p=0,
         gamma=2,
         delta=2,
-        inner_weights=GridFunction.constant(1, t, one),
-        outer_weights=GridFunction.constant(3, t, one),
+        inner_weights=_unit_weights(f, 1, t),
+        outer_weights=_unit_weights(f, 3, t),
     )
     report = opial_report(f, 0, t, params, "paper", policy)
     components = dict(report.components)

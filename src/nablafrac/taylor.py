@@ -67,7 +67,7 @@ def _expand(
     (m, μ or μ−p).  The polynomial part adds ``w_{k−p+1}(n)·∇^k f(a)`` in ascending
     ``k = p .. m−1``; integer-order kernels are integers, one row per k."""
     ws, dw = _scaled_kernel(order, offsets[-1], backend)
-    rems, dr = _convolve(ws, source[0], [n - 1 for n in offsets]), dw * source[1]
+    rems, dr = _convolve(ws, source[0], offsets[0] - 1, offsets[-1] - 1), dw * source[1]
     inits, di = _scaled(initials[p:])
     rows = [_scaled_kernel(k + 1, offsets[-1], backend)[0] for k in range(len(inits))]
     polys = (reduce(add, (row[n - 1] * x for row, x in zip(rows, inits)), 0) for n in offsets)
@@ -170,8 +170,7 @@ def kernel_sum_closed_form(a: int, mu: OrderInput, t: int, backend: Backend = Ba
     mu = as_order(mu)
     if t <= a:
         raise EmptyRangeError(f"kernel sum needs t > a, got t={t}, a={a}")
-    target = mu.value + 1
-    return normalized_rising(t - a, target, target, backend)
+    return normalized_rising(t - a, mu.value + 1, backend=backend)
 
 
 def sum_rising_closed_form(
@@ -184,8 +183,8 @@ def sum_rising_closed_form(
     if b <= a + m:
         raise EmptyRangeError(f"rising sum needs b > a+m, got b={b}, a+m={a + m}")
     target = nu.value + 2
-    upper = normalized_rising(b - a, target, target, backend)
-    lower = normalized_rising(m, target, target, backend)
+    upper = normalized_rising(b - a, target, backend=backend)
+    lower = normalized_rising(m, target, backend=backend)
     return upper - lower
 
 
@@ -199,9 +198,7 @@ def remainder_bound(
     expansion = series[t]
     lhs = abs(expansion.total - expansion.poly_part)
     max_cap = _scalar(max(map(abs, cap[0])), cap[1])
-    target = expansion.order.value - p + 1
-    coeff = normalized_rising(t - a, target, target, f.backend)
-    return lhs, coeff * max_cap
+    return lhs, kernel_sum_closed_form(a, expansion.order.value - p, t, f.backend) * max_cap
 
 
 @dataclass(frozen=True)
@@ -275,7 +272,7 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
     # the order-m remainder kernel is the row of the last polynomial term
     rows = [_scaled_kernel(k + 1, n, seed.backend)[0] for k in range(m)]
     poly = reduce(add, (row[n - 1] * x for row, x in zip(rows, values[:m])), 0)
-    return _scalar(_convolve(rows[-1], values[m:], (n - 1,), poly)[0], d)
+    return _scalar(_convolve(rows[-1], values[m:], n - 1, n - 1, poly)[0], d)
 
 
 def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed:

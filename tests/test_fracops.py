@@ -608,6 +608,30 @@ class TestKernelRowGrowth:
         for nu, want in rows.items():
             assert kernel_weights(nu, 300) == tuple(want)
 
+    @staticmethod
+    def smooth_factorial(k, q):
+        """The part of ``k!`` made of the primes of ``q``, by Legendre's formula."""
+        part = 1
+        for r in range(2, q + 1):
+            if q % r == 0 and all(r % d for d in range(2, r)):
+                power = r
+                while power <= k:
+                    part *= r ** (k // power)
+                    power *= r
+        return part
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 150), st.integers(1, 200))
+    @example(q=12, p=1, n=200)
+    @example(q=8, p=17, n=129)
+    def test_denominators_have_their_closed_form(self, q, p, n):
+        # w(n) = ∏_{j<n}(p+q(j−1)) / (q^{n−1}(n−1)!): no numerator factor shares a
+        # prime with q, and the n−1 factors carry every other prime of (n−1)!
+        nu = Fraction(p, q)
+        q = nu.denominator
+        row = kernel_weights(nu, n)
+        assert [w.denominator for w in row] == [q**k * self.smooth_factorial(k, q) for k in range(n)]
+
     def test_sums_after_staged_growth(self):
         nu = Fraction(101, 37)
         rng = random.Random(37)

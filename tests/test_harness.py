@@ -84,7 +84,7 @@ class TestIdentitySuites:
         assert result.worst_slack == 0.0
         assert result.failing_seeds == ()
 
-    @pytest.mark.parametrize("name", ["taylor", "exponents", "kernel-closed-form"])
+    @pytest.mark.parametrize("name", IDENTITY_SUITE_NAMES)
     def test_float_backend_within_tolerance(self, name):
         result = run_identity_suite(name, 15, 42, backend=Backend.FLOAT)
         assert result.failures == 0

@@ -18,6 +18,7 @@ from nablafrac import (
     Backend,
     DomainError,
     GridFunction,
+    INEQUALITY_SUITE_NAMES,
     ParameterError,
     ParseError,
     run_identity_suite,
@@ -507,6 +508,78 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "sobolev" and payload["holds"] is True
+
+    SINGLE_REPORTS = {
+        "opial": ["--a", "0", "--t", "6", "--mu", "5/2", "--gamma", "3", "--delta", "3/2"],
+        "opial-25": ["--t", "6"],
+        "ostrowski": ["--a", "0", "--b", "8", "--mu", "5/2", "--p", "1"],
+        "poincare": ["--a", "0", "--b", "8", "--mu", "5/2", "--p", "1"],
+        "sobolev": ["--a", "0", "--b", "8", "--mu", "5/2", "--r", "3"],
+        "avg-sobolev": ["--a", "0", "--b", "8", "--mu", "5/2"],
+    }
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_every_single_report_in_every_format(self, tmp_path, capsys, backend):
+        from nablafrac import FunctionSpec, gen_function
+        from nablafrac.gridio import write_grid_csv
+
+        # f(0) = f(-1) = f(-2) = 0: admissible for every family at a = 0, m = 3
+        f = gen_function(FunctionSpec(a=0, m=3, b=8, zero_initials_from=0, value_range=5, seed=11))
+        path = tmp_path / "adm.csv"
+        write_grid_csv(f, str(path))
+        assert sorted(self.SINGLE_REPORTS) == sorted(INEQUALITY_SUITE_NAMES)
+        for name, flags in self.SINGLE_REPORTS.items():
+            head = ["ineq", name, "--input", str(path), "--backend", backend, *flags]
+            code = main(head + ["--format", "json"])
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["name"] == name
+            assert code == (0 if payload["holds"] else 1)
+            assert main(head + ["--format", "csv"]) == code
+            rows = capsys.readouterr().out.splitlines()
+            assert rows[0] == "field,value" and f"holds,{payload['holds']}" in rows
+            assert main(head + ["--format", "table"]) == code
+            fields = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+            assert fields["name"] == name and fields["holds"] == str(payload["holds"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["opial", "--a", "0", "--mu", "5/2", "--t", "2"], "window needs its end point >= 3, got 2"),
+            (["avg-sobolev", "--a", "0", "--mu", "5/2", "--b", "0"], "window needs its end point >= 4, got 0"),
+        ],
+        ids=["opial", "avg-sobolev"],
+    )
+    def test_single_report_window_error_before_unit_weights(self, cube_csv, capsys, argv, message):
+        code = main(["ineq", *argv, "--input", cube_csv])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_single_report_unknown_name_before_reading_the_file(self, tmp_path, capsys):
+        code = main(["ineq", "nope", "--input", str(tmp_path / "missing.csv"), "--a", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown inequality suite 'nope'; pick one of " + ", ".join(INEQUALITY_SUITE_NAMES) + "\n"
+        )
+
+    def test_taylor_shift_and_json_output(self, cube_csv, capsys):
+        from nablafrac import remainder_bound, taylor_extended
+
+        f = read_grid(cube_csv)
+        argv = ["--input", cube_csv, "--a", "0", "--mu", "5/2", "--t", "4", "--format", "json"]
+        assert main(["taylor", *argv, "--p", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = taylor_extended(f, 0, Fraction(5, 2), 1, 4)
+        assert payload == {
+            "base": 0,
+            "order": "5/2",
+            "p": 1,
+            "poly_part": format_scalar(want.poly_part),
+            "remainder": format_scalar(want.remainder),
+            "total": "37",  # ∇f(4) = 64 − 27
+        }
+        assert main(["bound", *argv, "--p", "1"]) == 0
+        lhs, rhs = remainder_bound(f, 0, Fraction(5, 2), 1, 4)
+        assert json.loads(capsys.readouterr().out) == {"lhs": format_scalar(lhs), "rhs": format_scalar(rhs)}
 
     def test_missing_flag_is_usage_error(self, ones_csv, capsys):
         code = main(["eval-sum", "--input", ones_csv, "--a", "0", "--t", "2"])

@@ -41,6 +41,13 @@ def test_suites_and_cli_carry_no_verdict_rule():
     assert offenders == []
 
 
+def test_suites_and_cli_read_the_report_verdict():
+    # a suite judges a trial by report.holds, built under the suite's policy;
+    # calling the rule again could judge one report twice, two ways
+    for name in ("harness.py", "cli.py"):
+        assert "_verdict" not in (SOURCE / name).read_text(encoding="utf-8"), name
+
+
 def test_no_builtin_or_compensated_sum():
     # float sums add left to right in a fixed order; builtin sum() switched
     # to compensated float summation in Python 3.12 and math.fsum rounds once,
