@@ -24,9 +24,9 @@ from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Sequence, Union
 
-from .errors import EmptyRangeError, OrderError, ParameterError
+from .errors import EmptyRangeError, OrderError
 from .grid import GridFunction, _scalar, _scaled_differences, _unscaled
-from .scalars import Backend, Scalar, parse_order
+from .scalars import Backend, Scalar, _integer, parse_order
 
 __all__ = [
     "FractionalOrder",
@@ -105,8 +105,7 @@ def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
     ``_KERNEL_CACHE_ROWS`` rows."""
     if type(nu) not in (int, Fraction) or nu <= 0:  # a positive rational skips FractionalOrder
         nu = as_order(nu).value
-    if not isinstance(length, int) or length < 0:
-        raise ParameterError(f"length must be a non-negative integer, got {length!r}")
+    _integer(length, "length", 0)
     return _unscaled(*_scaled_kernel(nu, length, backend)) if length else ()
 
 
@@ -251,8 +250,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
     ``a + ν + j``: the falling-power kernel ``(a+ν+j−s−1)`` to the power ν−1,
     normalised by Γ(ν), summed for ``s = a .. a+j``."""
     nu = as_order(nu)
-    if not isinstance(j, int) or j < 0:
-        raise ParameterError(f"shift j must be a non-negative integer, got {j!r}")
+    _integer(j, "shift j", 0)
     # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1),
     # the kernel of the backward sum at a+j.
     return frac_sum(f, a, nu, a + j)

@@ -20,7 +20,7 @@ from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderError, ParameterError
-from .scalars import Backend, Scalar, _cast, falling_factorial, rising_factorial
+from .scalars import Backend, Scalar, _cast, _integer, backend_of, falling_factorial, rising_factorial
 
 __all__ = [
     "GridDomain",
@@ -40,9 +40,7 @@ class GridDomain:
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
-            raise ParameterError("domain bounds must be integers")
-        if self.hi < self.lo:
+        if _integer(self.lo, "lo") > _integer(self.hi, "hi"):
             raise DomainError(f"empty domain [{self.lo}, {self.hi}]")
 
     def __contains__(self, t: int) -> bool:
@@ -56,26 +54,13 @@ class GridDomain:
 
 
 def _coerce_values(values: Sequence) -> tuple:
+    """``values`` cast to their one backend, each classified by ``backend_of``."""
     if len(values) == 0:
         raise ParameterError("a grid function needs at least one value")
-    out = []
-    kind = None
-    for v in values:
-        if isinstance(v, bool):
-            raise ParameterError("booleans are not grid values")
-        if isinstance(v, float):
-            this = Backend.FLOAT
-        elif isinstance(v, (int, Fraction)):
-            this = Backend.EXACT
-            v = Fraction(v)
-        else:
-            raise ParameterError(f"unsupported grid value type {type(v).__name__}")
-        if kind is None:
-            kind = this
-        elif kind is not this:
-            raise ParameterError("grid values must not mix exact and float backends")
-        out.append(v)
-    return tuple(out)
+    kind = backend_of(values[0])
+    if any(backend_of(v) is not kind for v in values):
+        raise ParameterError("grid values must not mix exact and float backends")
+    return tuple(_cast(kind, v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -89,8 +74,7 @@ class GridFunction:
     values: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, int) or isinstance(self.lo, bool):
-            raise ParameterError("lo must be an integer")
+        _integer(self.lo, "lo")
         object.__setattr__(self, "values", _coerce_values(tuple(self.values)))
 
     @classmethod
@@ -116,18 +100,18 @@ class GridFunction:
         return Backend.FLOAT if isinstance(self.values[0], float) else Backend.EXACT
 
     def at(self, t: int) -> Scalar:
-        if t < self.lo or t > self.hi:
-            raise DomainError(f"index {t} outside grid domain [{self.lo}, {self.hi}]")
+        self.require_window(t, t)
         return self.values[t - self.lo]
 
     def __call__(self, t: int) -> Scalar:
         return self.at(t)
 
     def require_window(self, lo: int, hi: int) -> None:
-        """Fail loudly, naming the missing index, unless ``[lo, hi]`` is covered."""
-        if lo < self.lo:
+        """The one point rule: both ends are integers, then ``[lo, hi]`` is covered,
+        or a ``DomainError`` names the missing index."""
+        if _integer(lo, "index") < self.lo:
             raise DomainError(f"index {lo} outside grid domain [{self.lo}, {self.hi}]")
-        if hi > self.hi:
+        if _integer(hi, "index") > self.hi:
             raise DomainError(f"index {hi} outside grid domain [{self.lo}, {self.hi}]")
 
     def as_float(self) -> "GridFunction":
@@ -156,17 +140,11 @@ class GridFunction:
         """``value`` on ``[lo, hi]``, checked once and raising what the constructor
         would for ``hi − lo + 1`` copies."""
         points = range(lo, hi + 1)
-        if not isinstance(lo, int) or isinstance(lo, bool):
-            raise ParameterError("lo must be an integer")
+        _integer(lo, "lo")
         if not points:
             raise ParameterError("a grid function needs at least one value")
         (value,) = _coerce_values((value,))
         return cls._of(lo, (value,) * len(points))
-
-
-def _check_step_count(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise OrderError(f"difference order must be a non-negative integer, got {k!r}")
 
 
 def _scaled(values: Sequence, invert: bool = False) -> tuple:
@@ -221,13 +199,13 @@ def _initial_column(f: GridFunction, a: int, m: int) -> tuple:
 
 def nabla(f: GridFunction, t: int, k: int = 1) -> Scalar:
     """k-th backward difference ``Σ_{j=0}^{k} (−1)^j C(k,j) f(t−j)``."""
-    _check_step_count(k)
+    _integer(k, "difference order", 0, OrderError)
     f.require_window(t - k, t)
     return _differences(f, t, k, t)[0]
 
 
 def delta(f: GridFunction, t: int, k: int = 1) -> Scalar:
     """k-th forward difference ``Σ_{j=0}^{k} C(k,j) (−1)^{k−j} f(t+j) = ∇^k f(t+k)``."""
-    _check_step_count(k)
+    _integer(k, "difference order", 0, OrderError)
     f.require_window(t, t + k)
     return _differences(f, t + k, k, t + k)[0]

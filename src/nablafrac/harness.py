@@ -45,6 +45,7 @@ from .scalars import (
     Scalar,
     TolerancePolicy,
     _cast,
+    _integer,
     gamma_ratio_mod1,
     scalar_close,
     to_float,
@@ -83,8 +84,8 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
     ``z = master + (index+1)·golden`` followed by the two xor-multiply rounds
     and the final xor-shift of the splitmix64 finaliser.
     """
-    if master_seed < 0 or trial_index < 0:
-        raise ParameterError("seeds and indices must be non-negative")
+    _integer(master_seed, "master_seed", 0)
+    _integer(trial_index, "trial_index", 0)
     z = (master_seed + (trial_index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -109,16 +110,15 @@ class FunctionSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
+        for name, minimum in (("a", None), ("m", 1), ("b", None), ("zero_initials_from", None),
+                              ("value_range", 0), ("seed", None)):
+            _integer(getattr(self, name), name, minimum)
         if not self.a + self.m < self.b:
             raise ParameterError(f"need a+m < b, got a+m={self.a + self.m}, b={self.b}")
         if not 0 <= self.zero_initials_from <= self.m:
             raise ParameterError(
                 f"zero_initials_from must lie in [0, m], got {self.zero_initials_from}"
             )
-        if self.value_range < 0:
-            raise ParameterError(f"value_range must be >= 0, got {self.value_range}")
         if not 0 <= self.seed <= _MASK64:
             raise ParameterError("seed must fit in 64 bits")
 
@@ -178,18 +178,11 @@ def _random_grid(rng: random.Random, lo: int, hi: int) -> GridFunction:
 def _draw_fraction(
     rng: random.Random, lo: Fraction, hi: Fraction, non_integer: bool = False
 ) -> Fraction:
-    """Uniform-ish rational in (lo, hi] with denominator at most ``_MAX_DEN``."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    """Uniform-ish rational in (lo, hi] with denominator at most ``_MAX_DEN``.  The
+    bounds are whole numbers, so every denominator has a numerator in range."""
     while True:
         den = rng.randint(1, _MAX_DEN)
-        num_lo = math.floor(lo * den) + 1
-        num_hi = math.floor(hi * den)
-        if num_hi < num_lo:
-            continue
-        q = Fraction(rng.randint(num_lo, num_hi), den)
-        if q <= lo or q > hi:
-            continue
+        q = Fraction(rng.randint(math.floor(lo * den) + 1, math.floor(hi * den)), den)
         if non_integer and q.denominator == 1:
             continue
         return q
@@ -378,8 +371,7 @@ def _run_trials(
 ) -> SuiteResult:
     """The suite loop.  ``judge(rng)`` runs the trial behind one trial seed and
     returns ``(failed, slacks)``; ``fold`` folds every non-NaN slack into ``worst``."""
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _integer(trials, "trials", 1)
     failing: List[int] = []
     for index in range(trials):
         trial_seed = mix_seed(master_seed, index)

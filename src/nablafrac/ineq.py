@@ -39,6 +39,7 @@ from .scalars import (
     TolerancePolicy,
     _cast,
     _classify_exponent,
+    _integer,
     parse_order,
     to_float,
 )
@@ -107,8 +108,8 @@ def _weights(f: GridFunction, C: GridFunction, lo: int, hi: int) -> tuple:
 
 def _unit_weights(f: GridFunction, lo: int, end: int) -> GridFunction:
     """Weight 1 on ``[lo, end]`` in the backend of ``f``, one point when ``end < lo``, so
-    the report's own window check judges ``end``."""
-    return GridFunction.constant(lo, max(end, lo), _cast(f.backend, 1))
+    the report's own window check judges ``end``; only its type is checked here."""
+    return GridFunction.constant(lo, max(_integer(end, "index"), lo), _cast(f.backend, 1))
 
 
 def _norm_exponent(r) -> Exponent:

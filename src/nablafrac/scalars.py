@@ -74,6 +74,15 @@ def backend_of(value: Scalar) -> Backend:
     raise ParameterError(f"unsupported scalar type {type(value).__name__}")
 
 
+def _integer(value, what: str, minimum: Optional[int] = None, error=ParameterError) -> int:
+    """The one integer-argument rule: ``value`` must be an ``int`` that is not a
+    ``bool``, and at least ``minimum`` (0 or 1) when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int) or minimum is not None and value < minimum:
+        kind = "an integer" if minimum is None else "a positive integer" if minimum else "a non-negative integer"
+        raise error(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def to_float(value: Scalar) -> float:
     """Explicit exact-to-float conversion (round to nearest); floats pass through."""
     return float(value)
@@ -252,9 +261,7 @@ def normalized_rising(n: int, nu, c=None, backend: Backend = Backend.EXACT) -> S
     shifted normaliser.  Float backend: evaluated through ``math.lgamma`` and
     any positive ``c`` is accepted.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError(f"n must be an integer, got {n!r}")
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise DomainError(f"normalized rising factorial needs n >= 1, got n={n}")
     exact = backend is Backend.EXACT
     nu = _as_rational(nu, "order") if exact else float(nu)

@@ -27,7 +27,7 @@ from .grid import (
     _scaled_differences,
     _unscaled,
 )
-from .scalars import Backend, Scalar, normalized_rising
+from .scalars import Backend, Scalar, _integer, normalized_rising
 
 __all__ = [
     "TaylorExpansion",
@@ -83,26 +83,18 @@ def _check_window(f: GridFunction, lo: int, first: int, end: int) -> None:
     f.require_window(lo, end)
 
 
-def _check_m(m) -> None:
-    """The order-ceiling rule of the integer expansion, the seeds and the rising sum."""
-    if not isinstance(m, int) or m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
-
-
 def _check_base_shift(a: int, mu: FractionalOrder, p: int) -> None:
     """The base-then-shift rule of the extended expansion and the bounds: ``a ≥ 0``,
     then an integer shift ``0 ≤ p < μ``."""
     if a < 0:
         raise ParameterError(f"base must be non-negative, got a={a}")
-    if not isinstance(p, int) or p < 0:
-        raise ParameterError(f"shift p must be a non-negative integer, got {p!r}")
-    if p >= mu.value:
+    if _integer(p, "shift p", 0) >= mu.value:
         raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
 
 
 def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     """Degree-(m−1) backward expansion about ``a`` plus the m-th difference remainder."""
-    _check_m(m)
+    _integer(m, "m", 1)
     _check_window(f, a - m + 1, a + m, t)
     initials = _initial_column(f, a, m)
     h = _scaled_differences(f, a + 1, m, t)
@@ -179,7 +171,7 @@ def sum_rising_closed_form(
     """Closed form of ``Σ_{j=a+m+1}^{b} (j−a)`` to the rising power ν, normalised
     by Γ(ν+2): the telescoped difference of two rising powers of exponent ν+1."""
     nu = as_order(nu)
-    _check_m(m)
+    _integer(m, "m", 1)
     if b <= a + m:
         raise EmptyRangeError(f"rising sum needs b > a+m, got b={b}, a+m={a + m}")
     target = nu.value + 2
@@ -212,7 +204,8 @@ class TaylorSeed:
     h: tuple
 
     def __post_init__(self) -> None:
-        _check_m(self.m)
+        _integer(self.a, "a")
+        _integer(self.m, "m", 1)
         initial = tuple(self.initial)
         h = tuple(self.h)
         if len(initial) != self.m:
@@ -263,7 +256,7 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
     """Evaluate the seeded function at ``t ≥ a+m`` directly from the expansion,
     without constructing the grid, so independently of the prefix sums."""
     a, m = seed.a, seed.m
-    if t < a + m:
+    if _integer(t, "t") < a + m:
         raise WindowError(f"direct evaluation is valid only for t >= a+m = {a + m}, got t={t}")
     if t > seed.b:
         raise WindowError(f"t={t} beyond the seeded range [{a + 1}, {seed.b}]")

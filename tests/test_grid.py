@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from nablafrac import (
     Backend,
     DomainError,
+    GridDomain,
     GridFunction,
     OrderError,
     ParameterError,
     TaylorSeed,
     TolerancePolicy,
+    backend_of,
     caputo_nabla_grid,
     construct_from_taylor_data,
     delta,
@@ -88,6 +90,55 @@ class TestGridFunction:
         f = GridFunction(0, (Fraction(1, 2), Fraction(3, 4))).as_float()
         assert f.backend is Backend.FLOAT
         assert f.at(0) == 0.5
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_from_callable(self, backend):
+        f = GridFunction.from_callable(-1, 2, lambda t: Fraction(t, 2), backend)
+        kind = float if backend is Backend.FLOAT else Fraction
+        assert f.lo == -1 and f.hi == 2 and f.backend is backend
+        assert f.values == (Fraction(-1, 2), 0, Fraction(1, 2), 1)
+        assert all(type(v) is kind for v in f.values)
+        assert f == GridFunction(-1, tuple(map(kind, f.values)))
+
+    def test_from_callable_checks_like_the_constructor(self):
+        with pytest.raises(ParameterError, match=r"^a grid function needs at least one value$"):
+            GridFunction.from_callable(2, 1, lambda t: t)
+        with pytest.raises(ParameterError, match=r"^booleans are not scalars$"):
+            GridFunction.from_callable(0, 1, lambda t: t == 1)
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_zero_carries_the_backend(self, backend):
+        f = GridFunction.from_callable(0, 2, lambda t: t, backend)
+        zero = f.zero()
+        assert zero == 0 and backend_of(zero) is backend
+        assert type(zero) is (float if backend is Backend.FLOAT else Fraction)
+
+
+class TestGridDomain:
+    def test_points_membership_and_length(self):
+        d = GridDomain(-2, 1)
+        assert list(d.points()) == [-2, -1, 0, 1] and len(d) == 4
+        assert -2 in d and 1 in d and -3 not in d and 2 not in d
+        assert GridFunction(-2, (1, 2, 3, 4)).domain == d
+        assert len(GridDomain(5, 5)) == 1
+
+    def test_empty_domain(self):
+        with pytest.raises(DomainError, match=r"^empty domain \[3, 2\]$"):
+            GridDomain(3, 2)
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (0.0, 2, "lo must be an integer, got 0.0"),
+            (True, 2, "lo must be an integer, got True"),
+            (0, "2", "hi must be an integer, got '2'"),
+            (0, Fraction(2), "hi must be an integer, got Fraction(2, 1)"),
+        ],
+    )
+    def test_bounds_are_integers(self, lo, hi, message):
+        with pytest.raises(ParameterError) as info:
+            GridDomain(lo, hi)
+        assert str(info.value) == message
 
 
 class TestLibraryBuiltGrids:

@@ -36,6 +36,7 @@ from nablafrac.gridio import (
     to_json,
     write_grid_csv,
     write_grid_json,
+    write_report,
 )
 
 
@@ -166,6 +167,24 @@ class TestGridCsv:
         f = read_grid_csv(io.StringIO("t,value\n0,0.5\n1,2\n"))
         assert f.values == (Fraction(1, 2), Fraction(2))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,value\n0,1\n1,2,3\n", r"^line 3: expected two columns, got 3$"),
+            ("t,value\n0,1\nx,2\n", r"^line 3: malformed index 'x'$"),
+            ("t,value\n0.5,1\n", r"^line 2: malformed index '0.5'$"),
+            ("t,value\n", r"^no data rows$"),
+            ("t,value\n\n , \n", r"^no data rows$"),
+        ],
+    )
+    def test_row_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            read_grid_csv(io.StringIO(text))
+
+    def test_blank_lines_are_skipped(self):
+        f = read_grid_csv(io.StringIO("t,value\n\n3,1\n,\n4,2\n\n"))
+        assert f.lo == 3 and f.values == (1, 2)
+
 
 class TestGridJson:
     def test_round_trip(self):
@@ -178,6 +197,27 @@ class TestGridJson:
     def test_shape_validation(self):
         with pytest.raises(ParseError):
             read_grid_json(io.StringIO('{"values": [1, 2]}'))
+
+    @pytest.mark.parametrize(
+        "payload, backend, message",
+        [
+            ('{"lo": 0, "values": [1,', Backend.EXACT, r"^malformed JSON grid: "),
+            ('{"lo": 0.5, "values": [1]}', Backend.EXACT, r"^grid 'lo' must be an integer, got 0\.5$"),
+            ('{"lo": "0", "values": [1]}', Backend.FLOAT, r"^grid 'lo' must be an integer, got '0'$"),
+            ('{"lo": 0, "values": [1, true]}', Backend.EXACT, r"^grid values must be numbers or 'p/q' strings$"),
+            ('{"lo": 0, "values": [0.5]}', Backend.EXACT, r"^decimal literal 0\.5 in an exact grid; quote it as a string$"),
+            ('{"lo": 0, "values": [1, null]}', Backend.EXACT, r"^unsupported grid value None$"),
+            ('{"lo": 0, "values": [[1]]}', Backend.FLOAT, r"^unsupported grid value \[1\]$"),
+        ],
+    )
+    def test_value_errors(self, payload, backend, message):
+        with pytest.raises(ParseError, match=message):
+            read_grid_json(io.StringIO(payload), backend)
+
+    def test_decimal_literal_on_the_float_backend(self):
+        f = read_grid_json(io.StringIO('{"lo": -1, "values": [0.5, 2, "1/4"]}'), Backend.FLOAT)
+        assert f.lo == -1 and f.values == (0.5, 2.0, 0.25)
+        assert all(type(v) is float for v in f.values)
 
     @pytest.mark.parametrize("values", ["5", '"123"', '{"1": 2}', "null"])
     def test_values_must_be_a_list(self, values):
@@ -234,6 +274,12 @@ class TestGridJson:
         assert read_grid(str(json_path)).values == f.values
         assert read_grid(str(csv_path), fmt="csv").values == f.values
 
+    def test_dispatcher_rejects_an_unknown_format(self, tmp_path):
+        path = tmp_path / "g.xml"
+        write_grid_json(GridFunction(0, (1,)), str(path))
+        with pytest.raises(ParameterError, match=r"^unknown grid format 'xml'$"):
+            read_grid(str(path), fmt="xml")
+
 
 class TestReportSerialization:
     def test_suite_json_is_deterministic(self):
@@ -282,6 +328,26 @@ class TestReportSerialization:
         assert "failures" in table
         rows = render_report(result, "csv").splitlines()
         assert rows[0] == "field,value"
+
+    def test_render_rejects_an_unknown_format(self):
+        result = run_identity_suite("duality", 2, 3)
+        with pytest.raises(ParameterError, match=r"^unknown format 'xml'$"):
+            render_report(result, "xml")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_write_report_to_a_path_and_a_stream(self, tmp_path, fmt):
+        result = run_identity_suite("duality", 2, 3)
+        path = tmp_path / f"report.{fmt}"
+        write_report(result, str(path), fmt)
+        stream = io.StringIO()
+        write_report(result, stream, fmt)
+        assert path.read_text(encoding="utf-8") == stream.getvalue() == render_report(result, fmt)
+
+    def test_write_report_defaults_to_json(self):
+        result = run_identity_suite("duality", 2, 3)
+        stream = io.StringIO()
+        write_report(result, stream)
+        assert json.loads(stream.getvalue())["name"] == "duality"
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -218,3 +219,37 @@ def test_one_power_primitive():
         if homes.get(id(node)) not in rules[rule]:
             offenders.append(f"ineq.py:{node.lineno} {rule} in {homes.get(id(node), 'module scope')}")
     assert offenders == []
+
+
+def test_one_integer_rule():
+    # every integer argument is checked by scalars._integer, so no other function
+    # words an integer-argument message; the factorials keep their DomainError and
+    # the JSON reader its ParseError for the file's own 'lo'
+    pattern = re.compile(
+        r"\b(must be|needs) (an|a non-negative|a positive) integer|\bmust be integers\b"
+        r"|^(an|a non-negative|a positive) integer$"
+    )
+    allowed = {
+        ("scalars.py", "_integer"),
+        ("scalars.py", "rising_factorial"),
+        ("scalars.py", "falling_factorial"),
+        ("gridio.py", "read_grid_json"),
+    }
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None
+        }
+        homes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                homes.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                if pattern.search(node.value):
+                    found.add((path.name, homes.get(id(node), "module scope")))
+    assert ("scalars.py", "_integer") in found
+    assert found <= allowed, sorted(found - allowed)
