@@ -44,7 +44,12 @@ class GridDomain:
             raise DomainError(f"empty domain [{self.lo}, {self.hi}]")
 
     def __contains__(self, t: int) -> bool:
-        return self.lo <= t <= self.hi
+        """``t`` is a grid point of the interval; anything the point rule
+        rejects (a float, a ``bool``) is not."""
+        try:
+            return self.lo <= _integer(t, "index") <= self.hi
+        except ParameterError:
+            return False
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -200,6 +205,7 @@ def _initial_column(f: GridFunction, a: int, m: int) -> tuple:
 def nabla(f: GridFunction, t: int, k: int = 1) -> Scalar:
     """k-th backward difference ``Σ_{j=0}^{k} (−1)^j C(k,j) f(t−j)``."""
     _integer(k, "difference order", 0, OrderError)
+    _integer(t, "t")
     f.require_window(t - k, t)
     return _differences(f, t, k, t)[0]
 
@@ -207,5 +213,6 @@ def nabla(f: GridFunction, t: int, k: int = 1) -> Scalar:
 def delta(f: GridFunction, t: int, k: int = 1) -> Scalar:
     """k-th forward difference ``Σ_{j=0}^{k} C(k,j) (−1)^{k−j} f(t+j) = ∇^k f(t+k)``."""
     _integer(k, "difference order", 0, OrderError)
+    _integer(t, "t")
     f.require_window(t, t + k)
     return _differences(f, t + k, k, t + k)[0]

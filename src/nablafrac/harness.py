@@ -547,7 +547,8 @@ def replay_identity_trial(
 ) -> List[Pair]:
     """Re-run the single identity trial behind a recorded seed; returns its
     (got, want) comparison pairs."""
-    return _suite(_IDENTITY_SUITES, "identity", name)(random.Random(trial_seed), backend)
+    trial_fn = _suite(_IDENTITY_SUITES, "identity", name)
+    return trial_fn(random.Random(_integer(trial_seed, "trial_seed", 0)), backend)
 
 
 def replay_inequality_trial(
@@ -555,4 +556,4 @@ def replay_inequality_trial(
 ) -> InequalityReport:
     """Re-run the single inequality trial behind a recorded seed."""
     trial_fn = _suite(_INEQUALITY_SUITES, "inequality", name)
-    return trial_fn(random.Random(trial_seed), backend, params, DEFAULT_TOLERANCE)
+    return trial_fn(random.Random(_integer(trial_seed, "trial_seed", 0)), backend, params, DEFAULT_TOLERANCE)

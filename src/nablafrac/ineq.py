@@ -246,6 +246,8 @@ def g_bound(g: GridFunction, a: int, m: int, t: int, variant: str = "paper") -> 
     convex and may even go negative otherwise.
     """
     _check_g_variant(variant)
+    for value, what in ((a, "a"), (m, "m"), (t, "t")):  # before the window ends derive from them
+        _integer(value, what)
     _check_window(g, a + m - 2, a + m, t)
     return _g_bounds(g.at(t), g.at(t - 1), g.at(a + m - 1), g.at(a + m - 2))[variant == "tight"]
 

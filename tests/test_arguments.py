@@ -28,6 +28,8 @@ from nablafrac import (
     normalized_rising,
     opial_corollary_25,
     remainder_bound,
+    replay_identity_trial,
+    replay_inequality_trial,
     run_identity_suite,
     run_inequality_suite,
     sum_rising_closed_form,
@@ -82,6 +84,8 @@ CALLS = {
     "run_identity_suite trials": lambda: run_identity_suite("taylor", 2.0, 1),
     "run_identity_suite seed": lambda: run_identity_suite("taylor", 2, 1.5),
     "run_inequality_suite trials": lambda: run_inequality_suite("ostrowski", True, 1),
+    "replay_identity_trial seed": lambda: replay_identity_trial("duality", True),
+    "replay_inequality_trial seed": lambda: replay_inequality_trial("ostrowski", 1.5),
     "FunctionSpec a": lambda: gen_function(spec(a=0.0)),
     "FunctionSpec m": lambda: gen_function(spec(m=3.0)),
     "FunctionSpec b": lambda: gen_function(spec(b=5.5)),
@@ -114,6 +118,21 @@ def test_floats_and_booleans_are_typed_errors(name):
         (lambda: GridFunction(1.0, (1,)), ParameterError, "lo must be an integer, got 1.0"),
         (lambda: GridDomain(0, True), ParameterError, "hi must be an integer, got True"),
         (lambda: F.at(1.0), ParameterError, "index must be an integer, got 1.0"),
+        (lambda: nabla(F, 1.5), ParameterError, "t must be an integer, got 1.5"),
+        (lambda: delta(F, 1.0), ParameterError, "t must be an integer, got 1.0"),
+        (lambda: g_bound(G, 0, 2.5, 5), ParameterError, "m must be an integer, got 2.5"),
+        (lambda: g_bound(G, 0, 2, 5.0), ParameterError, "t must be an integer, got 5.0"),
+        (lambda: g_bound(G, 0.0, 2, 5), ParameterError, "a must be an integer, got 0.0"),
+        (
+            lambda: replay_inequality_trial("ostrowski", 1.5),
+            ParameterError,
+            "trial_seed must be a non-negative integer, got 1.5",
+        ),
+        (
+            lambda: replay_identity_trial("duality", True),
+            ParameterError,
+            "trial_seed must be a non-negative integer, got True",
+        ),
         (lambda: mix_seed(-1, 0), ParameterError, "master_seed must be a non-negative integer, got -1"),
         (lambda: run_identity_suite("taylor", 0, 1), ParameterError, "trials must be a positive integer, got 0"),
         (lambda: spec(m=0), ParameterError, "m must be a positive integer, got 0"),

@@ -119,6 +119,9 @@ class TestGridDomain:
         d = GridDomain(-2, 1)
         assert list(d.points()) == [-2, -1, 0, 1] and len(d) == 4
         assert -2 in d and 1 in d and -3 not in d and 2 not in d
+        # the point rule: only an int that is not a bool is a grid point
+        assert 0.0 not in d and -0.5 not in d and True not in d and False not in d
+        assert Fraction(0) not in d and "0" not in d and None not in d
         assert GridFunction(-2, (1, 2, 3, 4)).domain == d
         assert len(GridDomain(5, 5)) == 1
 

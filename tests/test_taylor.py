@@ -1,6 +1,7 @@
 """Taylor representation, closed-form kernel sum, remainder bound, and
 construction round-trip tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from nablafrac import (
     ParameterError,
     TaylorSeed,
     WindowError,
+    caputo_nabla_grid,
     construct_from_taylor_data,
     eval_from_taylor_data,
     gamma_ratio_mod1,
@@ -23,6 +25,7 @@ from nablafrac import (
     remainder_bound,
     sum_rising_closed_form,
     taylor_extended,
+    taylor_extended_series,
     taylor_fractional,
     taylor_fractional_series,
     taylor_integer,
@@ -324,3 +327,107 @@ class TestGammaShiftIdentity:
         q3 = gamma_ratio_mod1(x + 1, x - k)
         assert q1 == 2
         assert (q2 - q3) / (k + 1) == q1
+
+
+def product_weight_row(nu, length):
+    """``w_ν(1..length)`` from the product form ``∏_{j=1}^{n−1}(p+q(j−1)) / (q^{n−1}(n−1)!)``."""
+    p, q = nu.numerator, nu.denominator
+    row, num, den = [], 1, 1
+    for n in range(1, length + 1):
+        if n > 1:
+            num *= p + q * (n - 2)
+            den *= q * (n - 1)
+        row.append(Fraction(num, den))
+    return row
+
+
+def binomial_difference(f, t, k):
+    """``∇^k f(t) = Σ_j (−1)^j C(k, j) f(t−j)``."""
+    return sum((-1) ** j * math.comb(k, j) * f.at(t - j) for j in range(k + 1))
+
+
+class TestLongExactRemainderOracle:
+    """Whole exact series against product-form weights and binomial differences in
+    plain ``Fraction`` arithmetic: on grids of 120 points for order denominators
+    2..8 with values whose denominators share primes with the order's, and with a
+    prime denominator equal to the last row index, on short and long series."""
+
+    @staticmethod
+    def check(f, a, mu, t_max):
+        m = mu.numerator // mu.denominator + 1
+        n_max = t_max - a
+        h = [binomial_difference(f, s, m) for s in range(a + 1, t_max + 1)]
+        wc = product_weight_row(m - mu, n_max)
+        cap = [sum(wc[i - j] * h[j] for j in range(i + 1)) for i in range(n_max)]
+        initials = [binomial_difference(f, a, k) for k in range(m)]
+        for p in sorted({0, m - 1}):
+            wr = product_weight_row(mu - p, n_max)
+            series = taylor_extended_series(f, a, mu, p, t_max) if p else taylor_fractional_series(f, a, mu, t_max)
+            assert sorted(series) == list(range(a + m, t_max + 1))
+            for t, expansion in series.items():
+                n = t - a
+                rem = sum(wr[n - 1 - i] * cap[i] for i in range(n))
+                poly = sum(product_weight_row(Fraction(k - p + 1), n)[-1] * initials[k] for k in range(p, m))
+                assert expansion.remainder == rem, (mu, p, t)
+                assert expansion.poly_part == poly, (mu, p, t)
+                assert expansion.total == binomial_difference(f, t, p), (mu, p, t)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_long_series(self, q):
+        rng = random.Random(q)
+        m = 1 + q % 3
+        a, t_max = 0, 120
+        values = (Fraction(rng.randint(-9, 9), rng.choice((1, q, 6))) for _ in range(t_max - a + m))
+        self.check(GridFunction(a - m + 1, tuple(values)), a, Fraction(q * m - 1, q), t_max)
+
+    @pytest.mark.parametrize("q", (2, 3, 5, 53, 61))
+    def test_prime_denominator_at_the_row_end(self, q):
+        # w(q+1) has the reduced denominator q^q·q: the last row index needs the prime
+        # q itself.  It enters the last remainder through ∇²f(a+1), kept positive (a
+        # B without that prime floors two terms whose errors can cancel for a negative
+        # one) and integer; q = 53 and 61 give series long enough for the powers of B
+        rng = random.Random(q)
+        a, t_max = 1, q + 2
+        h = [rng.randint(1, 9) for _ in range(t_max - a)]
+        f = construct_from_taylor_data(TaylorSeed(a=a, m=2, initial=(1, 2), h=h))
+        self.check(f, a, Fraction(2 * q - 1, q), t_max)
+
+
+class TestRemainderSharpness:
+    """The remainder estimate ``kernel mass · max|C|`` is attained.  The remainder of
+    ``∇^p f(t)`` is ``Σ_τ w_{μ−p}(t−τ+1)·C(τ)`` with positive weights, and the
+    Caputo-like difference is ``C = w_{m−μ} ∗ ∇^m f`` with ``w_{m−μ} ∗ w_{μ−m+1} =
+    w_1 ≡ 1``; so ``∇^m f = w_{μ−m+1}`` (product form, not the library's rows) gives
+    ``C ≡ 1`` and ``lhs == rhs``."""
+
+    N = 200
+    CASES = [
+        (Fraction(1, 2), 0),
+        (Fraction(3, 2), 0),
+        (Fraction(3, 2), 1),
+        (Fraction(7, 3), 2),
+        (Fraction(5, 2), 1),
+        (Fraction(11, 4), 0),
+        (Fraction(13, 5), 2),
+    ]
+
+    def extremal(self, a, mu):
+        m = mu.numerator // mu.denominator + 1
+        initial = tuple(Fraction(k - 2, k + 1) for k in range(m))  # they cancel out of lhs
+        h = product_weight_row(mu - m + 1, self.N)
+        return construct_from_taylor_data(TaylorSeed(a=a, m=m, initial=initial, h=h))
+
+    @pytest.mark.parametrize("mu, p", CASES)
+    def test_bound_is_attained(self, mu, p):
+        a, m = 1, mu.numerator // mu.denominator + 1
+        f = self.extremal(a, mu)
+        assert set(caputo_nabla_grid(f, a + 1, mu).values) == {1}
+        for t in (a + m, a + m + 1, a + 37, a + self.N):
+            lhs, rhs = remainder_bound(f, a, mu, p, t)
+            assert lhs == rhs == kernel_sum_closed_form(a, mu - p, t), (t, lhs, rhs)
+
+    @pytest.mark.parametrize("mu, p", CASES)
+    def test_every_series_remainder_is_the_kernel_mass(self, mu, p):
+        f = self.extremal(0, mu)
+        for t, expansion in taylor_extended_series(f, 0, mu, p).items():
+            assert expansion.remainder == kernel_sum_closed_form(0, mu - p, t), t
