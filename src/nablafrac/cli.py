@@ -68,14 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     _common_flags(common)
-    for name, text in [
-        ("eval-sum", "evaluate a fractional sum at one point"),
-        ("eval-caputo", "evaluate the Caputo-like difference at one point"),
-        ("taylor", "evaluate a discrete Taylor representation"),
-        ("bound", "evaluate the remainder bound"),
-        ("verify", "run a randomized identity suite"),
-        ("ineq", "run an inequality suite, or evaluate one report with --input"),
-    ]:
+    for name, (_, text) in _COMMANDS.items():
         sub = commands.add_parser(name, help=text, parents=[common])
         if name in ("verify", "ineq"):
             sub.add_argument("suite", type=str, help="suite name")
@@ -219,13 +212,14 @@ def _cmd_ineq(args) -> int:
     return 0 if result.passed else 1
 
 
+# The one command table: name -> (handler, help text), in the order of the help.
 _COMMANDS = {
-    "eval-sum": _cmd_eval_sum,
-    "eval-caputo": _cmd_eval_caputo,
-    "taylor": _cmd_taylor,
-    "bound": _cmd_bound,
-    "verify": _cmd_verify,
-    "ineq": _cmd_ineq,
+    "eval-sum": (_cmd_eval_sum, "evaluate a fractional sum at one point"),
+    "eval-caputo": (_cmd_eval_caputo, "evaluate the Caputo-like difference at one point"),
+    "taylor": (_cmd_taylor, "evaluate a discrete Taylor representation"),
+    "bound": (_cmd_bound, "evaluate the remainder bound"),
+    "verify": (_cmd_verify, "run a randomized identity suite"),
+    "ineq": (_cmd_ineq, "run an inequality suite, or evaluate one report with --input"),
 }
 
 
@@ -235,7 +229,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except NablaFracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

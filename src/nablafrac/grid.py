@@ -154,7 +154,8 @@ class GridFunction:
 
 def _scaled(values: Sequence, invert: bool = False) -> tuple:
     """The scaled form ``(numerators, d)``: exact values (or with ``invert`` their
-    reciprocals) as integers over one denominator ``d``, floats over ``1.0``."""
+    reciprocals) as integers over one denominator ``d``, floats over ``1.0``.
+    ``invert`` is for exact values only: floats come back as they are."""
     if values and isinstance(values[0], float):
         return values, 1.0
     nums, dens = [x.numerator for x in values], [x.denominator for x in values]

@@ -316,10 +316,10 @@ def opial_report(
     g_nums = list(accumulate(g_pow))
     window = range(m - 1, t - a)
     wn, dw = _scaled_kernel(mu.value - p, t - a, f.backend)
-    us, du = _scaled(c, invert=True)
-    up, dup = _powers(us, du, gamma)
-    if isinstance(dup, int):  # integer powers: θ^γ is one convolution of w^γ with (1/C)^γ
-        wp, dwp = _powers(wn, dw, gamma)
+    wp, dwp = _powers(wn, dw, gamma)
+    if isinstance(dwp, int):  # integer powers: θ^γ is one convolution of w^γ with (1/C)^γ
+        us, du = _scaled(c, invert=True)
+        up, dup = _powers(us, du, gamma)
         theta, dtheta = _convolve(wp, up, m - 1, t - a - 1), dwp * dup
         kp, dk = _powers([x * u for x, u in zip(ds, us[m - 1 :])], dd * du, gamma)
     else:  # per term: w/C = (w·d_C)/(d_w·C) rounds once, as float() rounds the Fraction

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from itertools import accumulate
+from operator import add, sub
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
-from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _remainders, _scaled_kernel, as_order
 from .grid import (
     GridFunction,
     _coerce_values,
@@ -58,57 +58,18 @@ class TaylorExpansion:
     total: Scalar
 
 
-# A series with fewer outputs keeps the plain remainder dot product.  On a 2-vCPU
-# VM under CPython 3.11 the rescaling cost up to 10% of an exact expansion over
-# 16-32 points, the two broke even near 40-48 points, and at 64 points the powers
-# of B saved about 15%.
-_NATURAL_MIN_OUTPUTS = 48
-
-
-def _remainder_base(q: int, length: int) -> int:
-    """``B = q·rad(q)`` for rows of ``length`` weights, where ``rad(q)`` is the
-    product of the primes of q below ``length`` (no larger one divides a factorial
-    of the row)."""
-    base, rest, r = q, q, 2
-    while rest > 1 and r < length:
-        if rest % r == 0:
-            base *= r
-            while rest % r == 0:
-                rest //= r
-        r += 1
-    return base
-
-
 def _expand(
     order: Fraction, initials: tuple, source: tuple, p: int, offsets: Sequence[int], backend: Backend
 ) -> list:
     """The expansion core: ``(poly_part, remainder)`` at ``t = a+n`` for each
-    ``n`` in ``offsets``.  ``source`` is the scaled remainder source on ``[a+1, …]``
-    (∇^m f or the Caputo-like difference), ``order`` the remainder kernel's order
-    (m, μ or μ−p).  The polynomial part adds ``w_{k−p+1}(n)·∇^k f(a)`` in ascending
-    ``k = p .. m−1``; integer-order kernels are integers, one row per k.
-
-    An exact call with at least ``_NATURAL_MIN_OUTPUTS`` outputs takes the
-    remainders in powers of ``B = q·rad(q)`` for ``order = r/q``: the reduced
-    denominator ``q^k·s(k!)`` of ``w(k+1)`` divides ``B^k`` (Legendre), so
-    ``W[k] = w(k+1)·B^k`` is an integer.  The source's denominator is ``dw`` times
-    the value scale ``d`` (the Caputo kernel of order ``m−μ`` has the same q and
-    length), so ``V[i] = v[i]·d·B^i`` is an integer too, and the remainder at ``n``
-    is ``Σ W[n−1−i]·V[i]`` over ``B^{n−1}·d``: operands of k steps carry about
-    ``k·log B`` bits, not the row's last denominator."""
-    ws, dw = _scaled_kernel(order, offsets[-1], backend)
-    vs, dv = source
-    dens = repeat(dw * dv)
-    if backend is Backend.EXACT and len(offsets) >= _NATURAL_MIN_OUTPUTS:
-        base = _remainder_base(order.denominator, offsets[-1])
-        powers = list(accumulate(repeat(base, offsets[-1] - 1), mul, initial=1))
-        ws, vs = ([x * b // dw for x, b in zip(row, powers)] for row in (ws, vs))
-        dens = (b * (dv // dw) for b in powers[offsets[0] - 1 :])
-    rems = _convolve(ws, vs, offsets[0] - 1, offsets[-1] - 1)
+    ``n`` in ``offsets``, the remainders of ``_remainders`` from the order-``order``
+    kernel (m, μ or μ−p) and the scaled ``source`` on ``[a+1, …]``.  The polynomial part
+    adds ``w_{k−p+1}(n)·∇^k f(a)`` in ascending ``k = p .. m−1``, one integer row per k."""
+    rems = _remainders(order, source, offsets[0], offsets[-1], backend)
     inits, di = _scaled(initials[p:])
     rows = [_scaled_kernel(k + 1, offsets[-1], backend)[0] for k in range(len(inits))]
     polys = (reduce(add, (row[n - 1] * x for row, x in zip(rows, inits)), 0) for n in offsets)
-    return [(_scalar(poly, di), _scalar(rem, d)) for poly, rem, d in zip(polys, rems, dens)]
+    return [(_scalar(poly, di), rem) for poly, rem in zip(polys, rems)]
 
 
 def _check_window(f: GridFunction, lo: int, first: int, end: int) -> None:
@@ -123,7 +84,7 @@ def _check_window(f: GridFunction, lo: int, first: int, end: int) -> None:
 def _check_base_shift(a: int, mu: FractionalOrder, p: int) -> None:
     """The base-then-shift rule of the extended expansion and the bounds: ``a ≥ 0``,
     then an integer shift ``0 ≤ p < μ``."""
-    if a < 0:
+    if _integer(a, "a") < 0:
         raise ParameterError(f"base must be non-negative, got a={a}")
     if _integer(p, "shift p", 0) >= mu.value:
         raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
@@ -131,6 +92,7 @@ def _check_base_shift(a: int, mu: FractionalOrder, p: int) -> None:
 
 def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     """Degree-(m−1) backward expansion about ``a`` plus the m-th difference remainder."""
+    _integer(a, "a")
     _integer(m, "m", 1)
     _check_window(f, a - m + 1, a + m, t)
     initials = _initial_column(f, a, m)
@@ -147,6 +109,7 @@ def _series(
     ``[t_lo, t_hi]`` (default ``[a+m, f.hi]``), in ascending t.  ``p = None`` is
     the plain expansion, ``total = poly_part + remainder``; an integer p expands
     ``∇^p f``, with ``total = ∇^p f(t)``."""
+    _integer(a, "a")
     mu = as_order(mu).require_non_integer(context)
     if p is not None:
         _check_base_shift(a, mu, p)
@@ -197,7 +160,8 @@ def kernel_sum_closed_form(a: int, mu: OrderInput, t: int, backend: Backend = Ba
     """Closed form of the cumulative kernel mass ``Σ_{n=1}^{t−a} w_μ(n)``:
     the rising power of ``t−a`` with exponent μ over Γ(μ+1)."""
     mu = as_order(mu)
-    if t <= a:
+    _integer(a, "a")
+    if _integer(t, "t") <= a:
         raise EmptyRangeError(f"kernel sum needs t > a, got t={t}, a={a}")
     return normalized_rising(t - a, mu.value + 1, backend=backend)
 
@@ -208,8 +172,9 @@ def sum_rising_closed_form(
     """Closed form of ``Σ_{j=a+m+1}^{b} (j−a)`` to the rising power ν, normalised
     by Γ(ν+2): the telescoped difference of two rising powers of exponent ν+1."""
     nu = as_order(nu)
+    _integer(a, "a")
     _integer(m, "m", 1)
-    if b <= a + m:
+    if _integer(b, "b") <= a + m:
         raise EmptyRangeError(f"rising sum needs b > a+m, got b={b}, a+m={a + m}")
     target = nu.value + 2
     upper = normalized_rising(b - a, target, backend=backend)
@@ -309,7 +274,7 @@ def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed
     """Extract the seed that reconstructs ``f`` on ``[a−m+1, b]``."""
     if b is None:
         b = f.hi
-    f.require_window(a - m + 1, b)
+    f.require_window(_integer(a, "a") - m + 1, b)
     f.require_window(a, a)  # the initial column needs f(a) even when b < a
     initial = _initial_column(f, a, m)
     h = _differences(f, a + 1, m, b)

@@ -22,11 +22,14 @@ from nablafrac import (
     frac_sum_grid,
     g_bound,
     gen_function,
+    kernel_sum_closed_form,
     kernel_weights,
     mix_seed,
     nabla,
     normalized_rising,
     opial_corollary_25,
+    ostrowski_report,
+    poincare_report,
     remainder_bound,
     replay_identity_trial,
     replay_inequality_trial,
@@ -55,6 +58,7 @@ CALLS = {
     "frac_sum base": lambda: frac_sum(F, 0.5, MU, 3),
     "frac_sum point": lambda: frac_sum(F, 0, MU, True),
     "frac_sum_grid end": lambda: frac_sum_grid(F, 0, MU, 4.0),
+    "caputo_nabla base": lambda: caputo_nabla(F, 0.5, MU, 5),
     "caputo_nabla point": lambda: caputo_nabla(F, 0, MU, 5.0),
     "nabla point": lambda: nabla(F, 1.5),
     "nabla order": lambda: nabla(F, 3, True),
@@ -62,21 +66,31 @@ CALLS = {
     "at": lambda: F.at(1.0),
     "at bool": lambda: F.at(True),
     "call": lambda: F(2.0),
+    "taylor_fractional base": lambda: taylor_fractional(F, True, MU, 4),
     "taylor_fractional point": lambda: taylor_fractional(F, 0, MU, 4.0),
+    "taylor_integer base": lambda: taylor_integer(F, 0.5, 2, 3),
     "taylor_integer m": lambda: taylor_integer(F, 0, True, 3),
     "taylor_extended shift": lambda: taylor_extended(F, 0, MU, True, 4),
+    "remainder_bound base": lambda: remainder_bound(F, 0.5, MU, 0, 4),
     "remainder_bound shift": lambda: remainder_bound(F, 0, MU, 1.0, 4),
+    "poincare_report base": lambda: poincare_report(F, False, 6, MU, 0),
+    "ostrowski_report base": lambda: ostrowski_report(F, 0.5, 6, MU, 0),
     "g_bound point": lambda: g_bound(G, 0, 2, 5.0),
     "opial_corollary_25 point": lambda: opial_corollary_25(F, 4.0),
     "kernel_weights length": lambda: kernel_weights(MU, True),
     "delta_frac_sum shift": lambda: delta_frac_sum(F, 0, MU, True),
     "normalized_rising n": lambda: normalized_rising(True, MU),
+    "kernel_sum_closed_form base": lambda: kernel_sum_closed_form(True, MU, 4),
+    "kernel_sum_closed_form point": lambda: kernel_sum_closed_form(0, MU, 4.0),
+    "sum_rising_closed_form base": lambda: sum_rising_closed_form(0.5, 2, 6, MU),
     "sum_rising_closed_form m": lambda: sum_rising_closed_form(0, True, 5, MU),
+    "sum_rising_closed_form end": lambda: sum_rising_closed_form(0, 2, 6.0, MU),
     "GridDomain lo": lambda: GridDomain(True, 3),
     "GridDomain hi": lambda: GridDomain(0, 3.0),
     "GridFunction lo": lambda: GridFunction(True, (1, 2)),
     "TaylorSeed a": lambda: TaylorSeed(a=0.5, m=2, initial=(0, 0), h=(1, 1)),
     "TaylorSeed m": lambda: TaylorSeed(a=0, m=True, initial=(0,), h=(1, 1)),
+    "taylor_seed_of base": lambda: taylor_seed_of(F, True, 2),
     "taylor_seed_of end": lambda: taylor_seed_of(F, 2, 2, 5.0),
     "eval_from_taylor_data point": lambda: eval_from_taylor_data(SEED, 2.0),
     "mix_seed seed": lambda: mix_seed(1.5, 0),
@@ -123,6 +137,19 @@ def test_floats_and_booleans_are_typed_errors(name):
         (lambda: g_bound(G, 0, 2.5, 5), ParameterError, "m must be an integer, got 2.5"),
         (lambda: g_bound(G, 0, 2, 5.0), ParameterError, "t must be an integer, got 5.0"),
         (lambda: g_bound(G, 0.0, 2, 5), ParameterError, "a must be an integer, got 0.0"),
+        (lambda: frac_sum(F, 1.5, MU, 3), ParameterError, "a must be an integer, got 1.5"),
+        (lambda: caputo_nabla(F, 2.5, MU, 5), ParameterError, "a must be an integer, got 2.5"),
+        (lambda: taylor_fractional(F, -0.5, MU, 4), ParameterError, "a must be an integer, got -0.5"),
+        (lambda: taylor_extended(F, True, MU, 1, 4), ParameterError, "a must be an integer, got True"),
+        (lambda: remainder_bound(F, 0.25, MU, 0, 4), ParameterError, "a must be an integer, got 0.25"),
+        (lambda: poincare_report(F, 0.75, 6, MU, 0), ParameterError, "a must be an integer, got 0.75"),
+        (lambda: ostrowski_report(F, False, 6, MU, 0), ParameterError, "a must be an integer, got False"),
+        (lambda: taylor_integer(F, 1.25, 2, 4), ParameterError, "a must be an integer, got 1.25"),
+        (lambda: taylor_seed_of(F, 2.0, 2), ParameterError, "a must be an integer, got 2.0"),
+        (lambda: kernel_sum_closed_form(3.5, MU, 4), ParameterError, "a must be an integer, got 3.5"),
+        (lambda: kernel_sum_closed_form(0, MU, 4.0), ParameterError, "t must be an integer, got 4.0"),
+        (lambda: sum_rising_closed_form(-1.5, 2, 6, MU), ParameterError, "a must be an integer, got -1.5"),
+        (lambda: sum_rising_closed_form(0, 2, 6.0, MU), ParameterError, "b must be an integer, got 6.0"),
         (
             lambda: replay_inequality_trial("ostrowski", 1.5),
             ParameterError,

@@ -61,6 +61,8 @@ class TestFractionalOrder:
     def test_rejects_non_positive(self):
         with pytest.raises(OrderError):
             FractionalOrder(Fraction(0))
+        with pytest.raises(OrderError, match=r"^orders must be rational, got 0\.5$"):
+            FractionalOrder(0.5)
         with pytest.raises(OrderError):
             FractionalOrder(Fraction(-1, 2))
 

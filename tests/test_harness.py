@@ -74,6 +74,8 @@ class TestGenFunction:
             FunctionSpec(a=0, m=3, b=3, zero_initials_from=0, value_range=9, seed=1)
         with pytest.raises(ParameterError):
             FunctionSpec(a=0, m=3, b=9, zero_initials_from=4, value_range=9, seed=1)
+        with pytest.raises(ParameterError, match="^seed must fit in 64 bits$"):
+            FunctionSpec(a=0, m=3, b=9, zero_initials_from=0, value_range=9, seed=2**64)
 
 
 class TestIdentitySuites:
@@ -145,6 +147,11 @@ class TestInequalitySuites:
         replay = replay_inequality_trial("opial", nan_seed, g_variant="tight")
         assert math.isnan(replay.rhs)
         assert replay.holds is False
+
+    def test_worst_slack_is_nan_when_every_slack_is(self):
+        # the one trial of master seed 32 has a NaN rhs, so no finite slack is seen
+        result = run_inequality_suite("opial", 1, 32, g_variant="tight")
+        assert result.failures == 1 and math.isnan(result.worst_slack)
 
     def test_failing_seed_replays_in_isolation(self):
         result = run_inequality_suite("opial", 200, 42, g_variant="tight")

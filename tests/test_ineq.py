@@ -205,6 +205,25 @@ class TestOpial:
                 outer_weights=unit_weights(3, 5),
             )
 
+    @pytest.mark.parametrize(
+        "gamma, inner, outer, message",
+        [
+            (1, (1, 1, 1, 1, 1), (1, 1, 1), "exponents must exceed 1, got gamma=1, delta=2"),
+            (2, (1, 0, 1, 1, 1), (1, 1, 1), "inner weight at 2 must be positive"),
+            (2, (1, 1, 1, 1, 1), (1, -1, 1), "outer weight at 4 must be non-negative"),
+        ],
+    )
+    def test_exponents_and_weights_checked(self, gamma, inner, outer, message):
+        with pytest.raises(ParameterError) as info:
+            OpialParams(FIVE_HALVES, 0, gamma, 2, GridFunction(1, inner), GridFunction(3, outer))
+        assert str(info.value) == message
+
+    def test_weight_grid_shares_the_backend(self):
+        f = admissible(11, 0, 3, 8, k0=0)
+        params = dataclasses.replace(default_opial_params(0, 5), inner_weights=unit_weights(1, 5).as_float())
+        with pytest.raises(ParameterError, match="^weight grids must share the function's backend$"):
+            opial_report(f, 0, 5, params)
+
     def test_low_order_rejected(self):
         with pytest.raises(ParameterError):
             OpialParams(
@@ -414,6 +433,20 @@ class TestAvgSobolev:
         weights = [unit_weights(1, 9), unit_weights(1, 9)]
         with pytest.raises(ParameterError):
             avg_sobolev_report(f, 0, 9, [FIVE_HALVES, Fraction(3, 2)], weights)
+
+    @pytest.mark.parametrize(
+        "orders, weights, message",
+        [
+            ([], [], "need at least one order"),
+            ([FIVE_HALVES], [], "need one weight grid per order"),
+            ([FIVE_HALVES], [GridFunction(1, (1, 0) + (1,) * 7)], "weights must be positive, got 0 at 2"),
+        ],
+    )
+    def test_orders_and_weights_checked(self, orders, weights, message):
+        f = admissible(43, 0, 3, 9, k0=0)
+        with pytest.raises(ParameterError) as info:
+            avg_sobolev_report(f, 0, 9, orders, weights)
+        assert str(info.value) == message
 
     def test_norm_monotone_in_window_start(self):
         # the r-norm over [a+m_k, b] never exceeds the one over a wider window

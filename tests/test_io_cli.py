@@ -44,6 +44,7 @@ class TestScalarFormatting:
     def test_rational(self):
         assert format_scalar(Fraction(15, 8)) == "15/8"
         assert format_scalar(Fraction(-3, 1)) == "-3"
+        assert format_scalar(7) == "7"
 
     def test_float_seventeen_digits(self):
         assert format_scalar(1.875) == "1.875"
@@ -287,6 +288,9 @@ class TestReportSerialization:
         second = run_inequality_suite("ostrowski", 10, 3)
         assert to_json(suite_to_dict(first)) == to_json(suite_to_dict(second))
 
+    def test_json_writes_infinities_and_backends_as_text(self):
+        assert json.loads(to_json([math.inf, -math.inf, Backend.FLOAT])) == ["inf", "-inf", "float"]
+
     def test_suite_json_schema(self):
         result = run_identity_suite("duality", 5, 3)
         payload = json.loads(to_json(suite_to_dict(result)))
@@ -429,6 +433,10 @@ class TestCli:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "1.875"
+
+    def test_grid_commands_need_input(self, capsys):
+        assert main(["eval-sum", "--a", "0", "--nu", "1/2", "--t", "2"]) == 2
+        assert capsys.readouterr().err == "error: this command needs --input\n"
 
     def test_eval_caputo(self, cube_csv, capsys):
         code = main(["eval-caputo", "--input", cube_csv, "--a", "1", "--mu", "5/2", "--t", "3"])

@@ -295,6 +295,11 @@ class TestScalarClose:
     def test_nan_is_never_close(self):
         assert not scalar_close(float("nan"), 0.0)
 
+    def test_infinities_are_close_only_to_themselves(self):
+        assert scalar_close(math.inf, math.inf) and scalar_close(-math.inf, -math.inf)
+        assert not scalar_close(math.inf, -math.inf)
+        assert not scalar_close(math.inf, 1e308)
+
     @given(st.floats(min_value=-1e9, max_value=1e9))
     def test_float_is_close_to_itself(self, x):
         assert scalar_close(x, x)

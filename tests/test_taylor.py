@@ -284,6 +284,13 @@ class TestConstruction:
             for t in range(a + m, seed.b + 1):
                 assert eval_from_taylor_data(seed, t) == f.at(t)
 
+    def test_direct_evaluation_window(self):
+        seed = TaylorSeed(a=0, m=2, initial=(1, 0), h=(1, 2, 3))
+        with pytest.raises(WindowError, match=r"^direct evaluation is valid only for t >= a\+m = 2, got t=1$"):
+            eval_from_taylor_data(seed, 1)
+        with pytest.raises(WindowError, match=r"^t=4 beyond the seeded range \[1, 3\]$"):
+            eval_from_taylor_data(seed, 4)
+
     def test_float_construction_tracks_exact(self):
         # float construction against the exact construction of the same seed,
         # relative to max|f|: prefix sums stay near 2e-15 on these seeds, while an
