@@ -13,6 +13,7 @@ from nablafrac import (
     NablaFracError,
     OrderError,
     ParameterError,
+    ParseError,
     TaylorSeed,
     caputo_nabla,
     delta,
@@ -193,3 +194,41 @@ def test_grid_values_use_the_scalar_classifier(values, message):
     with pytest.raises(ParameterError) as info:
         GridFunction(0, values)
     assert str(info.value) == message
+
+
+ORDER_CALLS = {
+    "frac_sum": lambda nu: frac_sum(F, 0, nu, 3),
+    "frac_sum_grid": lambda nu: frac_sum_grid(F, 0, nu, 4),
+    "delta_frac_sum": lambda nu: delta_frac_sum(F, 0, nu, 2),
+    "kernel_weights": lambda nu: kernel_weights(nu, 4),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CALLS)
+@pytest.mark.parametrize(
+    "order, error, message",
+    [
+        (0, OrderError, "order must be positive, got 0"),
+        (Fraction(-1, 2), OrderError, "order must be positive, got -1/2"),
+        (True, OrderError, "orders must be rational, got True"),
+        (2.5, OrderError, "orders must be rational, got 2.5"),
+        ("x", ParseError, "malformed order 'x'; expected INT or INT/POSINT"),
+    ],
+)
+def test_order_arguments_keep_their_errors(name, order, error, message):
+    # a positive int or Fraction order skips FractionalOrder; every other order
+    # still goes through as_order and raises what it raises
+    with pytest.raises(error) as info:
+        ORDER_CALLS[name](order)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_bad_order_is_reported_before_a_bad_base_or_shift():
+    with pytest.raises(OrderError):
+        frac_sum(F, 1.5, 0, 3)
+    with pytest.raises(OrderError):
+        frac_sum_grid(F, 1.5, Fraction(-1, 2), 4)
+    with pytest.raises(OrderError):
+        delta_frac_sum(F, 0, 2.5, -1)
+    with pytest.raises(OrderError):
+        kernel_weights(True, -1)

@@ -1,6 +1,7 @@
 """Inequality evaluator tests: anchors, boundary checks, slack properties."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -120,6 +121,19 @@ class TestGBound:
                 assert g_bound(g, 0, 3, length, "tight") >= product, vals
                 count += 1
         assert count == 3648
+
+    def test_paper_dominates_every_small_nondecreasing_series(self):
+        # the claim checked: for every nondecreasing, non-negative integer series of
+        # length 3..8 with values <= 8 (24,255 series, convex or not), the paper
+        # bound is at least the accumulated product Σ_{t'=a+m}^{t} g(t')·(g(t')−g(t'−1))
+        count = 0
+        for length in range(3, 9):
+            for vals in itertools.combinations_with_replacement(range(9), length):
+                g = GridFunction(1, vals)
+                product = sum(vals[i] * (vals[i] - vals[i - 1]) for i in range(2, length))
+                assert g_bound(g, 0, 3, length, "paper") >= product, vals
+                count += 1
+        assert count == 24255
 
     def test_tight_fails_on_the_smallest_non_convex_series(self):
         # (0, 1, 1) is nondecreasing but not convex: the accumulated product is 0,

@@ -1,5 +1,7 @@
-"""Golden digest of the report bytes: the JSON of the first 40 trials of each
-criterion-5 configuration and opial-25, on both backends at two seeds.
+"""Golden digests of the report and identity bytes: the JSON of the first 40
+trials of each criterion-5 configuration and opial-25, and of the (got, want)
+pairs of the first 40 trials of every identity suite, on both backends at two
+seeds.
 
 Any change to an exact value, a float bit, a component or the serialization
 moves the digest; a deliberate change must update it and say why."""
@@ -8,7 +10,7 @@ import hashlib
 
 import pytest
 
-from nablafrac import Backend, mix_seed, replay_inequality_trial
+from nablafrac import IDENTITY_SUITE_NAMES, Backend, mix_seed, replay_identity_trial, replay_inequality_trial
 from nablafrac.gridio import report_to_dict, to_json
 
 CONFIGURATIONS = (
@@ -40,3 +42,24 @@ def test_report_bytes_match_the_golden_digest(backend, seed):
             report = replay_inequality_trial(name, mix_seed(seed, index), backend, **params)
             digest.update(to_json(report_to_dict(report)).encode())
     assert digest.hexdigest() == GOLDEN[backend, seed]
+
+
+# The identity pairs go through every pointwise sum and difference of the
+# suites (exponents, duality, nabla-of-sum, ...), so these pin the pointwise
+# paths value for value and bit for bit.
+IDENTITY_GOLDEN = {
+    (Backend.EXACT, 42): "6d32f6fd209cd09697f54ab2d621e7e614f6128117471cf2a0def44f580e7519",
+    (Backend.EXACT, 7): "f63c34709a71a93a07c74bf2a798ba555009ec2cd4eba2110c56b4a8e3a34230",
+    (Backend.FLOAT, 42): "4826f6ccc85051d3d6e5535db0763d27e352064047c81f0c4302dbb17d2c91d5",
+    (Backend.FLOAT, 7): "d2c5213326230758b0c818eb575019158af2b0c59a078e89f1d9f2e193438c0a",
+}
+
+
+@pytest.mark.parametrize("backend, seed", sorted(IDENTITY_GOLDEN, key=lambda key: (key[0].value, key[1])))
+def test_identity_pairs_match_the_golden_digest(backend, seed):
+    assert len(IDENTITY_SUITE_NAMES) == 9
+    digest = hashlib.sha256()
+    for name in IDENTITY_SUITE_NAMES:
+        for index in range(TRIALS):
+            digest.update(to_json(replay_identity_trial(name, mix_seed(seed, index), backend)).encode())
+    assert digest.hexdigest() == IDENTITY_GOLDEN[backend, seed]
