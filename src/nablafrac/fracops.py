@@ -91,6 +91,15 @@ def as_order(value: OrderInput) -> FractionalOrder:
     return FractionalOrder(value)
 
 
+def _order_value(nu: OrderInput) -> Union[int, Fraction]:
+    """The value of an order argument: a positive ``int`` or ``Fraction`` as it is,
+    with no ``FractionalOrder`` built, and anything else through :func:`as_order`.
+    The sign test reads the numerator: a ``Fraction`` keeps its sign there."""
+    if type(nu) in (int, Fraction) and nu.numerator > 0:
+        return nu
+    return as_order(nu).value
+
+
 _KERNEL_CACHE_ROWS = 512  # the kernel cache keeps the rows of this many (order, backend) pairs
 
 
@@ -104,8 +113,7 @@ def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
     """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``, cut from
     the row grown by the recurrence and memoised per (ν, backend) in an LRU cache of
     ``_KERNEL_CACHE_ROWS`` rows."""
-    if type(nu) not in (int, Fraction) or nu <= 0:  # a positive rational skips FractionalOrder
-        nu = as_order(nu).value
+    nu = _order_value(nu)
     _integer(length, "length", 0)
     return _unscaled(*_scaled_kernel(nu, length, backend)) if length else ()
 
@@ -262,13 +270,13 @@ def _remainders(order: Fraction, source: tuple, lo: int, hi: int, backend: Backe
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     """Order-ν backward fractional sum of ``f`` from base ``a`` at ``t``:
     ``Σ_{s=a}^{t} w_ν(t−s+1)·f(s)``.  Integer ν reproduces the iterated sum."""
-    (dot,), d = _sums(f, a, as_order(nu).value, 0, t, t - a)
+    (dot,), d = _sums(f, a, _order_value(nu), 0, t, t - a)
     return _scalar(dot, d)
 
 
 def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> GridFunction:
     """Fractional sum evaluated at every ``t`` in ``[a, hi]`` (default ``f.hi``)."""
-    sums = _sums(f, a, as_order(nu).value, 0, f.hi if hi is None else hi)
+    sums = _sums(f, a, _order_value(nu), 0, f.hi if hi is None else hi)
     return GridFunction._of(a, _unscaled(*sums))
 
 
@@ -276,7 +284,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
     """Delta-form fractional sum of order ν evaluated at the shifted point
     ``a + ν + j``: the falling-power kernel ``(a+ν+j−s−1)`` to the power ν−1,
     normalised by Γ(ν), summed for ``s = a .. a+j``."""
-    nu = as_order(nu)
+    nu = _order_value(nu)
     _integer(j, "shift j", 0)
     # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1),
     # the kernel of the backward sum at a+j.

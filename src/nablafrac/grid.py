@@ -73,10 +73,15 @@ class GridFunction:
     """Scalar values on a contiguous integer interval, one backend throughout.
 
     The constructor coerces and checks every value; :meth:`_of` does not, and is
-    only for tuples the library built itself, all ``Fraction`` or all ``float``."""
+    only for tuples the library built itself, all ``Fraction`` or all ``float``.
+
+    An exact grid keeps its values' scaled form once :func:`_scaled_differences`
+    first reads it.  The memo is set as the fields are but is not a field, so
+    ``==``, ``hash``, ``repr`` and ``dataclasses.fields`` do not see it."""
 
     lo: int
     values: tuple
+    _scaled_form = None  # (numerators, d) of the whole exact grid, set on the first read
 
     def __post_init__(self) -> None:
         _integer(self.lo, "lo")
@@ -177,16 +182,23 @@ def _unscaled(nums: Sequence, d) -> tuple:
 
 def _scaled_differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
     """Scaled ``∇^m f`` on ``[lo, hi]``, a window the caller has checked: m rounds
-    of integer first differences of exact ``f`` scaled once, or at each point the
-    float binomial sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` (m = 0: the slice)."""
-    vs = f.values[lo - m - f.lo : hi + 1 - f.lo]
+    of integer first differences of the window of exact ``f``'s scaled form (a slice
+    over the whole grid's denominator; m = 0: the slice itself), or at each point
+    the float binomial sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` (m = 0: the
+    value slice).  The first exact read scales the whole grid, once per grid."""
+    start, stop = lo - m - f.lo, hi + 1 - f.lo
     if f.backend is Backend.FLOAT:
+        vs = f.values[start:stop]
         if m == 0:
             return vs, 1.0
         cs = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
         windows = (reversed(vs[i : i + m + 1]) for i in range(len(vs) - m))
         return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows), 1.0
-    ns, d = _scaled(vs)
+    if f._scaled_form is None:
+        nums, d = _scaled(f.values)
+        object.__setattr__(f, "_scaled_form", (tuple(nums), d))
+    nums, d = f._scaled_form
+    ns = nums[start:stop]
     for _ in range(m):
         ns = list(map(sub, ns[1:], ns[:-1]))
     return ns, d

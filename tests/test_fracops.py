@@ -1,5 +1,6 @@
 """Fractional sum, delta-form dual, and Caputo-like difference tests."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -645,3 +646,91 @@ class TestKernelRowGrowth:
         assert kernel_weights(nu, 120) == tuple(product_row(nu, 120))
         assert frac_sum_grid(f, 0, nu).values == naive_grid(nu, values)
         assert kernel_weights(nu, 300) == tuple(product_row(nu, 300))
+
+
+class TestScaledGridMemo:
+    """An exact grid is scaled once, on its first read, over the whole grid's
+    denominator.  Every window must read the same values whatever was read
+    before it, and the kept scaled form must stay invisible to ``==``, ``hash``,
+    ``repr`` and the dataclass fields."""
+
+    # integer values first and new denominators later, so an early window's lcm
+    # (1, then 7, …) is far below the whole grid's
+    VALUES = (3, -2, 5, 0, 1, Fraction(1, 7), -4, Fraction(-3, 11), Fraction(5, 13), 2,
+              Fraction(2, 9), Fraction(-7, 17), 6, Fraction(1, 19), Fraction(-9, 23), 1)
+    A = -2
+    ORDERS = (Fraction(1, 3), Fraction(7, 5), Fraction(5, 2), 3)
+    CAPUTO_ORDERS = (Fraction(1, 3), Fraction(7, 5), Fraction(5, 2))
+
+    def grid(self):
+        return GridFunction(self.A, self.VALUES)
+
+    @staticmethod
+    def binomial_differences(values, m):
+        """``∇^m`` at each point with ``m`` points before it, as binomial sums."""
+        return [
+            sum((-1) ** j * math.comb(m, j) * Fraction(values[s - j]) for j in range(m + 1))
+            for s in range(m, len(values))
+        ]
+
+    def test_pointwise_sums_match_the_product_form_in_ascending_reads(self):
+        values = [Fraction(v) for v in self.VALUES]
+        for nu in self.ORDERS:
+            f = self.grid()  # fresh: the first read is the one-point window at a
+            for k in range(len(values)):
+                want = naive_sum(Fraction(nu), values, k)
+                assert frac_sum(f, self.A, nu, self.A + k) == want
+                assert delta_frac_sum(f, self.A, nu, k) == want
+            want = tuple(naive_sum(Fraction(nu), values, k) for k in range(len(values)))
+            assert frac_sum_grid(f, self.A, nu).values == want
+
+    def test_pointwise_caputo_matches_the_product_form_in_ascending_reads(self):
+        for mu in self.CAPUTO_ORDERS:
+            m = math.ceil(mu)
+            a = self.A + m
+            h = self.binomial_differences(self.VALUES, m)
+            f = self.grid()
+            for k in range(len(h)):
+                want = naive_sum(m - mu, h, k)
+                assert caputo_nabla(f, a, mu, a + k) == want
+            assert caputo_nabla_grid(f, a, mu).values == tuple(naive_sum(m - mu, h, k) for k in range(len(h)))
+
+    def test_a_window_reads_the_same_before_and_after_other_reads(self):
+        nu, mu, t = Fraction(7, 5), Fraction(5, 2), self.A + 3
+        f = self.grid()
+        first = (frac_sum(f, self.A, nu, t), nabla(f, t, 2), caputo_nabla(f, self.A + 3, mu, t + 2))
+        frac_sum_grid(f, self.A, nu)
+        caputo_nabla_grid(f, self.A + 3, mu)
+        [nabla(f, s, 3) for s in range(f.lo + 3, f.hi + 1)]
+        taylor_fractional_series(f, self.A + 3, mu)
+        again = (frac_sum(f, self.A, nu, t), nabla(f, t, 2), caputo_nabla(f, self.A + 3, mu, t + 2))
+        alone = (
+            frac_sum(self.grid(), self.A, nu, t),
+            nabla(self.grid(), t, 2),
+            caputo_nabla(self.grid(), self.A + 3, mu, t + 2),
+        )
+        assert first == again == alone
+        assert all(type(x) is Fraction for x in first + again)
+
+    def test_float_grids_keep_their_ascending_sums(self):
+        f = self.grid().as_float()
+        nu = Fraction(7, 5)
+        for k in range(len(self.VALUES)):
+            want = ascending_float_sum(nu, f.values, k)
+            assert frac_sum(f, self.A, nu, self.A + k) == want
+        want = tuple(ascending_float_sum(nu, f.values, k) for k in range(len(self.VALUES)))
+        assert frac_sum_grid(f, self.A, nu).values == want
+
+    def test_the_kept_form_is_invisible_to_equality_hash_repr_and_fields(self):
+        read, unread = self.grid(), self.grid()
+        frac_sum(read, self.A, Fraction(7, 5), read.hi)
+        nabla(read, read.hi, 4)
+        assert read == unread and not read != unread
+        assert hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert dataclasses.fields(read) == dataclasses.fields(unread)
+        assert [field.name for field in dataclasses.fields(read)] == ["lo", "values"]
+        assert dataclasses.asdict(read) == dataclasses.asdict(unread) == {"lo": self.A, "values": self.VALUES}
+        assert dataclasses.replace(read) == unread
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.lo = 0
