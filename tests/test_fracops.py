@@ -701,7 +701,8 @@ class TestScaledGridMemo:
         first = (frac_sum(f, self.A, nu, t), nabla(f, t, 2), caputo_nabla(f, self.A + 3, mu, t + 2))
         frac_sum_grid(f, self.A, nu)
         caputo_nabla_grid(f, self.A + 3, mu)
-        [nabla(f, s, 3) for s in range(f.lo + 3, f.hi + 1)]
+        for s in range(f.lo + 3, f.hi + 1):
+            nabla(f, s, 3)
         taylor_fractional_series(f, self.A + 3, mu)
         again = (frac_sum(f, self.A, nu, t), nabla(f, t, 2), caputo_nabla(f, self.A + 3, mu, t + 2))
         alone = (
@@ -711,15 +712,6 @@ class TestScaledGridMemo:
         )
         assert first == again == alone
         assert all(type(x) is Fraction for x in first + again)
-
-    def test_float_grids_keep_their_ascending_sums(self):
-        f = self.grid().as_float()
-        nu = Fraction(7, 5)
-        for k in range(len(self.VALUES)):
-            want = ascending_float_sum(nu, f.values, k)
-            assert frac_sum(f, self.A, nu, self.A + k) == want
-        want = tuple(ascending_float_sum(nu, f.values, k) for k in range(len(self.VALUES)))
-        assert frac_sum_grid(f, self.A, nu).values == want
 
     def test_the_kept_form_is_invisible_to_equality_hash_repr_and_fields(self):
         read, unread = self.grid(), self.grid()
