@@ -15,18 +15,8 @@ from .errors import NablaFracError, UsageError
 from .fracops import as_order, caputo_nabla, frac_sum
 from .grid import GridFunction
 from .gridio import format_scalar, read_grid, render_report, to_json
-from .harness import _INEQUALITY_SUITES, _suite, run_identity_suite, run_inequality_suite
-from .ineq import (
-    OpialParams,
-    _unit_weights,
-    avg_sobolev_report,
-    opial_corollary_25,
-    opial_report,
-    ostrowski_report,
-    poincare_report,
-    sobolev_report,
-)
-from .scalars import Backend, parse_order
+from .harness import _INEQUALITY_SUITES, _report, _suite, run_identity_suite, run_inequality_suite
+from .scalars import Backend, DEFAULT_TOLERANCE, parse_order
 from .taylor import remainder_bound, taylor_extended, taylor_fractional, taylor_integer
 
 __all__ = ["build_parser", "main"]
@@ -99,6 +89,15 @@ def _cmd_eval_caputo(args) -> int:
     return 0
 
 
+def _write_payload(payload: dict, fmt: str) -> None:
+    """JSON for ``--format json``, otherwise one ``key: value`` line per entry, in order."""
+    if fmt == "json":
+        sys.stdout.write(to_json(payload))
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {value}")
+
+
 def _cmd_taylor(args) -> int:
     _require(args, "a", "mu", "t")
     f = _load_grid(args)
@@ -119,11 +118,7 @@ def _cmd_taylor(args) -> int:
         "remainder": format_scalar(expansion.remainder),
         "total": format_scalar(expansion.total),
     }
-    if args.format == "json":
-        sys.stdout.write(to_json(payload))
-    else:
-        for key in ("base", "order", "p", "poly_part", "remainder", "total"):
-            print(f"{key}: {payload[key]}")
+    _write_payload(payload, args.format)
     return 0
 
 
@@ -132,11 +127,7 @@ def _cmd_bound(args) -> int:
     f = _load_grid(args)
     p = args.p if args.p is not None else 0
     lhs, rhs = remainder_bound(f, args.a, args.mu, p, args.t)
-    if args.format == "json":
-        sys.stdout.write(to_json({"lhs": format_scalar(lhs), "rhs": format_scalar(rhs)}))
-    else:
-        print(f"lhs: {format_scalar(lhs)}")
-        print(f"rhs: {format_scalar(rhs)}")
+    _write_payload({"lhs": format_scalar(lhs), "rhs": format_scalar(rhs)}, args.format)
     return 0
 
 
@@ -148,17 +139,12 @@ def _cmd_verify(args) -> int:
 
 
 def _ineq_params(args) -> dict:
-    params = {}
-    if args.mu is not None:
-        params["mu"] = args.mu
-    if args.p is not None:
-        params["p"] = args.p
-    if args.gamma is not None:
-        params["gamma"] = parse_order(args.gamma)
-    if args.delta is not None:
-        params["delta"] = parse_order(args.delta)
-    if args.r is not None:
-        params["r"] = parse_order(args.r)
+    """The inequality options given on the command line, exponents parsed, and the g-bound."""
+    params = {
+        key: parse_order(value) if key in ("gamma", "delta", "r") else value
+        for key in ("mu", "p", "gamma", "delta", "r")
+        if (value := getattr(args, key)) is not None
+    }
     params["g_variant"] = args.g_variant
     return params
 
@@ -168,35 +154,11 @@ def _single_report(args):
     _suite(_INEQUALITY_SUITES, "inequality", name)  # an unknown name fails before the file is read
     f = _load_grid(args)
     opts = _ineq_params(args)
-    gamma, delta, r = (opts.get(key, 2) for key in ("gamma", "delta", "r"))
-    p = opts.get("p", 0)
-    if name == "opial":
-        _require(args, "a", "t", "mu")
-        mu = as_order(args.mu)
-        params = OpialParams(
-            mu=mu,
-            p=p,
-            gamma=gamma,
-            delta=delta,
-            inner_weights=_unit_weights(f, args.a + 1, args.t),
-            outer_weights=_unit_weights(f, args.a + mu.m, args.t),
-        )
-        return opial_report(f, args.a, args.t, params, args.g_variant)
-    if name == "opial-25":
-        _require(args, "t")
-        return opial_corollary_25(f, args.t)
-    if name == "ostrowski":
-        _require(args, "a", "b", "mu")
-        return ostrowski_report(f, args.a, args.b, args.mu, p)
-    if name == "poincare":
-        _require(args, "a", "b", "mu")
-        return poincare_report(f, args.a, args.b, args.mu, p, gamma, delta)
-    if name == "sobolev":
-        _require(args, "a", "b", "mu")
-        return sobolev_report(f, args.a, args.b, args.mu, p, gamma, delta, r)
-    _require(args, "a", "b", "mu")  # avg-sobolev
-    mu = as_order(args.mu)
-    return avg_sobolev_report(f, args.a, args.b, [mu], [_unit_weights(f, args.a + 1, args.b)], r)
+    flags = {"opial": ("a", "t", "mu"), "opial-25": ("t",)}.get(name, ("a", "b", "mu"))
+    _require(args, *flags)
+    end = args.b if "b" in flags else args.t
+    mu = [args.mu] if name == "avg-sobolev" else args.mu
+    return _report(name, f, args.a, end, mu, args.p, opts, DEFAULT_TOLERANCE)
 
 
 def _cmd_ineq(args) -> int:

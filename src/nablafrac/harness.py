@@ -32,6 +32,7 @@ from .grid import GridFunction, _differences
 from .ineq import (
     InequalityReport,
     OpialParams,
+    _unit_weights,
     avg_sobolev_report,
     opial_corollary_25,
     opial_report,
@@ -45,6 +46,7 @@ from .scalars import (
     Scalar,
     TolerancePolicy,
     _cast,
+    _float_gamma_ratio,
     _integer,
     gamma_ratio_mod1,
     scalar_close,
@@ -304,18 +306,16 @@ def _trial_gamma_quotient(rng: random.Random, backend: Backend) -> List[Pair]:
     else:
         k = _draw_fraction(rng, Fraction(-1), Fraction(6), non_integer=True)
     x = k + _draw_fraction(rng, Fraction(0), Fraction(6))
-    pairs: List[Pair] = []
-    if backend is Backend.FLOAT:
+    if backend is Backend.FLOAT:  # x − k > 0, so every argument is positive
         xf, kf = float(x), float(k)
-        q1 = math.exp(math.lgamma(xf + 1.0) - math.lgamma(xf - kf + 1.0))
-        q2 = math.exp(math.lgamma(xf + 2.0) - math.lgamma(xf - kf + 1.0))
-        q3 = math.exp(math.lgamma(xf + 1.0) - math.lgamma(xf - kf))
-        pairs.append((q1, (q2 - q3) / (kf + 1.0)))
-        return pairs
+        q1 = _float_gamma_ratio(xf + 1.0, (xf - kf + 1.0,))
+        q2 = _float_gamma_ratio(xf + 2.0, (xf - kf + 1.0,))
+        q3 = _float_gamma_ratio(xf + 1.0, (xf - kf,))
+        return [(q1, (q2 - q3) / (kf + 1.0))]
     # All quotients expressed relative to Γ(x+1)/Γ(x−k+1), which divides out.
     up = gamma_ratio_mod1(x + 2, x + 1)
     down = gamma_ratio_mod1(x - k + 1, x - k)
-    pairs.append((Fraction(1), (up - down) / (k + 1)))
+    pairs: List[Pair] = [(Fraction(1), (up - down) / (k + 1))]
     if k.denominator == 1 and k >= 0:
         q1 = gamma_ratio_mod1(x + 1, x - k + 1)
         q2 = gamma_ratio_mod1(x + 2, x - k + 1)
@@ -426,59 +426,35 @@ def _trial_opial(rng: random.Random, backend: Backend, opts: dict, policy) -> In
     f = _maybe_float_grid(_spec_function(rng, a, m, t, k0=p), backend)
     inner = GridFunction._of(a + 1, tuple(_draw_weight(rng) for _ in range(a + 1, t + 1)))
     outer = GridFunction._of(a + m, tuple(_draw_weight(rng, allow_zero=True) for _ in range(a + m, t + 1)))
-    inner = _maybe_float_grid(inner, backend)
-    outer = _maybe_float_grid(outer, backend)
-    params = OpialParams(
-        mu=mu,
-        p=p,
-        gamma=opts.get("gamma", 2),
-        delta=opts.get("delta", 2),
-        inner_weights=inner,
-        outer_weights=outer,
-    )
-    return opial_report(f, a, t, params, opts.get("g_variant", "paper"), policy)
+    weights = (_maybe_float_grid(inner, backend), _maybe_float_grid(outer, backend))
+    return _report("opial", f, a, t, mu, p, opts, policy, weights)
 
 
 def _trial_opial_25(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     t = 3 + rng.randint(0, 17)
     f = _maybe_float_grid(_spec_function(rng, 0, 3, t, k0=0), backend)
-    return opial_corollary_25(f, t, policy)
+    return _report("opial-25", f, 0, t, None, None, opts, policy)
 
 
-def _draw_shifted_instance(
-    rng: random.Random, backend: Backend, opts: dict, zero_initials_from: Callable[[int, int], int]
-):
-    """Draw ``(μ, p, a, b, f)`` for the shifted single-order bounds; ``f`` has
-    vanishing backward differences of order ``zero_initials_from(p, m) .. m−1``
+def _trial_shifted(name: str, zero_initials_from: Callable[[int, int], int]) -> Callable:
+    """The trial of a shifted single-order bound: draw ``(μ, p, a, b, f)``, ``f``
+    with vanishing backward differences of order ``zero_initials_from(p, m) .. m−1``
     at the base.  The draw order is fixed so trial seeds reproduce."""
-    mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
-        rng, Fraction(0), Fraction(4), non_integer=True
-    ))
-    m = mu.m
-    p = opts.get("p")
-    if p is None:
-        p = rng.randint(0, m - 1)
-    a = rng.randint(0, 3)
-    b = a + m + 1 + rng.randint(0, 11)
-    f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=zero_initials_from(p, m)), backend)
-    return mu, p, a, b, f
 
+    def trial(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
+        mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
+            rng, Fraction(0), Fraction(4), non_integer=True
+        ))
+        m = mu.m
+        p = opts.get("p")
+        if p is None:
+            p = rng.randint(0, m - 1)
+        a = rng.randint(0, 3)
+        b = a + m + 1 + rng.randint(0, 11)
+        f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=zero_initials_from(p, m)), backend)
+        return _report(name, f, a, b, mu, p, opts, policy)
 
-def _trial_ostrowski(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-    mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: min(p + 1, m))
-    return ostrowski_report(f, a, b, mu, p, policy)
-
-
-def _trial_poincare(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-    mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: p)
-    return poincare_report(f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2), policy)
-
-
-def _trial_sobolev(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-    mu, p, a, b, f = _draw_shifted_instance(rng, backend, opts, lambda p, m: p)
-    return sobolev_report(
-        f, a, b, mu, p, opts.get("gamma", 2), opts.get("delta", 2), opts.get("r", 2), policy
-    )
+    return trial
 
 
 def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
@@ -501,15 +477,42 @@ def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict, policy)
             num = rng.randint((den + 1) // 2, 2 * den)
             vals.append(Fraction(num, den))
         weights.append(_maybe_float_grid(GridFunction._of(a + 1, tuple(vals)), backend))
-    return avg_sobolev_report(f, a, b, orders, weights, opts.get("r", 2), policy)
+    return _report("avg-sobolev", f, a, b, orders, 0, opts, policy, weights)
+
+
+def _report(
+    name: str, f: GridFunction, a: int, end: int, mu, p, opts: dict, policy, weights=None
+) -> InequalityReport:
+    """The one call from a family name to its report, shared by the suites and
+    ``nablafrac ineq --input``.  ``end`` is ``t`` for the weighted-product bounds
+    and ``b`` otherwise; ``mu`` is the order list of ``avg-sobolev``.  Options not
+    given default to γ = δ = r = 2, p = 0 and the ``paper`` g-bound, and
+    ``weights=None`` means unit weights."""
+    gamma, delta, r = (opts.get(key, 2) for key in ("gamma", "delta", "r"))
+    p = 0 if p is None else p
+    if name == "opial":
+        mu = as_order(mu)
+        inner, outer = weights or (_unit_weights(f, a + 1, end), _unit_weights(f, a + mu.m, end))
+        params = OpialParams(mu=mu, p=p, gamma=gamma, delta=delta, inner_weights=inner, outer_weights=outer)
+        return opial_report(f, a, end, params, opts.get("g_variant", "paper"), policy)
+    if name == "opial-25":
+        return opial_corollary_25(f, end, policy)
+    if name == "ostrowski":
+        return ostrowski_report(f, a, end, mu, p, policy)
+    if name == "poincare":
+        return poincare_report(f, a, end, mu, p, gamma, delta, policy)
+    if name == "sobolev":
+        return sobolev_report(f, a, end, mu, p, gamma, delta, r, policy)
+    weights = weights or [_unit_weights(f, a + 1, end) for _ in mu]  # avg-sobolev
+    return avg_sobolev_report(f, a, end, mu, weights, r, policy)
 
 
 _INEQUALITY_SUITES: Dict[str, Callable[[random.Random, Backend, dict, TolerancePolicy], InequalityReport]] = {
     "opial": _trial_opial,
     "opial-25": _trial_opial_25,
-    "ostrowski": _trial_ostrowski,
-    "poincare": _trial_poincare,
-    "sobolev": _trial_sobolev,
+    "ostrowski": _trial_shifted("ostrowski", lambda p, m: min(p + 1, m)),
+    "poincare": _trial_shifted("poincare", lambda p, m: p),
+    "sobolev": _trial_shifted("sobolev", lambda p, m: p),
     "avg-sobolev": _trial_avg_sobolev,
 }
 

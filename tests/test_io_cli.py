@@ -615,6 +615,75 @@ class TestCli:
             fields = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
             assert fields["name"] == name and fields["holds"] == str(payload["holds"])
 
+    # the options each --input report reads, with the documented defaults
+    # gamma = delta = r = 2, p = 0 and the "paper" g-bound
+    REPORT_DEFAULTS = {"p": 0, "gamma": 2, "delta": 2, "r": 2, "g_variant": "paper"}
+    OPTION_FLAGS = {
+        "defaults": {},
+        "p": {"p": "1"},
+        "exponents": {"gamma": "3", "delta": "3/2"},
+        "r": {"r": "3"},
+        "tight": {"g_variant": "tight"},
+    }
+
+    @staticmethod
+    def public_report(name, f, opts):
+        """The public call behind ``ineq NAME --input`` at a = 0, t = 6, b = 8, mu = 5/2."""
+        from nablafrac import (
+            OpialParams,
+            as_order,
+            avg_sobolev_report,
+            opial_corollary_25,
+            opial_report,
+            ostrowski_report,
+            poincare_report,
+            sobolev_report,
+        )
+
+        one = 1 if f.backend is Backend.EXACT else 1.0
+        p, gamma, delta, r = int(opts["p"]), opts["gamma"], opts["delta"], opts["r"]
+        if name == "opial":
+            mu = as_order("5/2")
+            params = OpialParams(
+                mu=mu,
+                p=p,
+                gamma=gamma,
+                delta=delta,
+                inner_weights=GridFunction.constant(1, 6, one),
+                outer_weights=GridFunction.constant(mu.m, 6, one),
+            )
+            return opial_report(f, 0, 6, params, opts["g_variant"])
+        if name == "opial-25":
+            return opial_corollary_25(f, 6)
+        if name == "ostrowski":
+            return ostrowski_report(f, 0, 8, "5/2", p)
+        if name == "poincare":
+            return poincare_report(f, 0, 8, "5/2", p, gamma, delta)
+        if name == "sobolev":
+            return sobolev_report(f, 0, 8, "5/2", p, gamma, delta, r)
+        return avg_sobolev_report(f, 0, 8, ["5/2"], [GridFunction.constant(1, 8, one)], r)
+
+    @pytest.mark.parametrize("option", sorted(OPTION_FLAGS))
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_single_report_equals_the_public_call(self, tmp_path, backend, option):
+        from nablafrac import FunctionSpec, gen_function
+        from nablafrac.gridio import write_grid_csv
+
+        f = gen_function(FunctionSpec(a=0, m=3, b=8, zero_initials_from=0, value_range=5, seed=11))
+        path = tmp_path / "adm.csv"
+        write_grid_csv(f, str(path))
+        f = read_grid(str(path), backend=Backend(backend))
+        given = self.OPTION_FLAGS[option]
+        flags = [text for key, value in given.items() for text in (f"--{key.replace('_', '-')}", value)]
+        opts = {**self.REPORT_DEFAULTS, **given}
+        for name in INEQUALITY_SUITE_NAMES:
+            point = ["--t", "6"] if name.startswith("opial") else ["--b", "8"]
+            argv = ["ineq", name, "--input", str(path), "--a", "0", *point, "--mu", "5/2"]
+            report = self.public_report(name, f, opts)
+            want = render_report(report, "json").encode()
+            got = in_process([*argv, "--backend", backend, *flags, "--format", "json"])
+            assert got == ((0 if report.holds else 1), want, b""), (name, option)
+
     @pytest.mark.parametrize(
         "argv, message",
         [

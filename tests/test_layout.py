@@ -83,18 +83,13 @@ def test_one_binomial_difference_implementation():
 
 
 def test_log_gamma_only_in_the_gamma_core():
-    # every gamma quotient is a view of the cores in scalars.py; the harness's
-    # float reference trial spells its quotients out on purpose
+    # every gamma quotient is a view of the cores in scalars.py, the float
+    # trial of the gamma-quotient suite included
     offenders = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        allowed = set()
-        if path.name == "harness.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_trial_gamma_quotient":
-                    allowed.update(id(inner) for inner in ast.walk(node))
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in allowed:
+            if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -253,3 +248,34 @@ def test_one_integer_rule():
                     found.add((path.name, homes.get(id(node), "module scope")))
     assert ("scalars.py", "_integer") in found
     assert found <= allowed, sorted(found - allowed)
+
+
+FAMILY_CALLS = (
+    "OpialParams",
+    "opial_report",
+    "opial_corollary_25",
+    "ostrowski_report",
+    "poincare_report",
+    "sobolev_report",
+    "avg_sobolev_report",
+)
+
+
+def test_one_family_to_report_call():
+    # harness._report is the one place where a family name meets its report call
+    # and its defaults; the suites and `nablafrac ineq --input` both call it, so
+    # cli.py never names a family call and harness.py names one only there (its
+    # import binds the names, it does not use them)
+    cli = (SOURCE / "cli.py").read_text(encoding="utf-8")
+    assert [name for name in FAMILY_CALLS if re.search(rf"\b{name}\b", cli)] == []
+    tree = ast.parse((SOURCE / "harness.py").read_text(encoding="utf-8"), filename="harness.py")
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_report":
+            allowed.update(id(inner) for inner in ast.walk(node))
+    offenders = [
+        f"harness.py:{node.lineno} names {_name(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in FAMILY_CALLS and id(node) not in allowed
+    ]
+    assert allowed and offenders == []
