@@ -12,7 +12,7 @@ import functools
 import sys
 
 from .errors import NablaFracError, UsageError
-from .fracops import as_order, caputo_nabla, frac_sum
+from .fracops import _order, caputo_nabla, frac_sum
 from .grid import GridFunction
 from .gridio import format_scalar, read_grid, render_report, to_json
 from .harness import _INEQUALITY_SUITES, _report, _suite, run_identity_suite, run_inequality_suite
@@ -101,11 +101,11 @@ def _write_payload(payload: dict, fmt: str) -> None:
 def _cmd_taylor(args) -> int:
     _require(args, "a", "mu", "t")
     f = _load_grid(args)
-    order = as_order(args.mu)
-    if order.is_integer and args.p:
+    order = _order(args.mu)
+    if order.denominator == 1 and args.p:
         raise UsageError(f"--p {args.p} needs a non-integer --mu; the integer form expands f itself")
-    if order.is_integer:
-        expansion = taylor_integer(f, args.a, int(order.value), args.t)
+    if order.denominator == 1:
+        expansion = taylor_integer(f, args.a, int(order), args.t)
     elif args.p:
         expansion = taylor_extended(f, args.a, order, args.p, args.t)
     else:

@@ -27,7 +27,7 @@ from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError
 from .grid import GridFunction, _scalar, _scaled_differences, _unscaled
-from .scalars import Backend, Scalar, _integer, parse_order
+from .scalars import Backend, Scalar, _backend, _integer, parse_order
 
 __all__ = [
     "FractionalOrder",
@@ -45,16 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FractionalOrder:
-    """A positive rational order together with its ceiling."""
+    """A positive rational order together with its ceiling, checked by :func:`_order`."""
 
     value: Fraction
 
     def __post_init__(self) -> None:
-        if isinstance(self.value, (float, bool)):
-            raise OrderError(f"orders must be rational, got {self.value!r}")
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value <= 0:
-            raise OrderError(f"order must be positive, got {self.value}")
+        object.__setattr__(self, "value", Fraction(_order(self.value)))
 
     @property
     def m(self) -> int:
@@ -67,11 +63,10 @@ class FractionalOrder:
 
     @classmethod
     def parse(cls, text: str) -> "FractionalOrder":
-        return cls(parse_order(text))
+        return cls(text)
 
     def require_non_integer(self, context: str) -> "FractionalOrder":
-        if self.is_integer:
-            raise OrderError(f"{context} requires a non-integer order, got {self.value}")
+        _order(self.value, context)
         return self
 
     def __str__(self) -> str:
@@ -84,20 +79,24 @@ OrderInput = Union["FractionalOrder", Fraction, int, str]
 
 
 def as_order(value: OrderInput) -> FractionalOrder:
-    if isinstance(value, FractionalOrder):
-        return value
-    if isinstance(value, str):
-        return FractionalOrder.parse(value)
-    return FractionalOrder(value)
+    return value if isinstance(value, FractionalOrder) else FractionalOrder(value)
 
 
-def _order_value(nu: OrderInput) -> Union[int, Fraction]:
-    """The value of an order argument: a positive ``int`` or ``Fraction`` as it is,
-    with no ``FractionalOrder`` built, and anything else through :func:`as_order`.
-    The sign test reads the numerator: a ``Fraction`` keeps its sign there."""
-    if type(nu) in (int, Fraction) and nu.numerator > 0:
-        return nu
-    return as_order(nu).value
+def _order(value: OrderInput, context: str = None) -> Union[int, Fraction]:
+    """The one order rule: a positive ``int`` or ``Fraction`` as it is (its numerator
+    keeps the sign), else a ``FractionalOrder``'s value, a string read by :func:`parse_order`
+    or a rational, checked positive.  A ``context`` needs a non-integer order."""
+    if not (type(value) in (int, Fraction) and value.numerator > 0):
+        if isinstance(value, (float, bool)):
+            raise OrderError(f"orders must be rational, got {value!r}")
+        if isinstance(value, FractionalOrder):
+            value = value.value
+        value = parse_order(value) if isinstance(value, str) else Fraction(value)
+        if value <= 0:
+            raise OrderError(f"order must be positive, got {value}")
+    if context is not None and value.denominator == 1:
+        raise OrderError(f"{context} requires a non-integer order, got {value}")
+    return value
 
 
 _KERNEL_CACHE_ROWS = 512  # the kernel cache keeps the rows of this many (order, backend) pairs
@@ -113,9 +112,9 @@ def kernel_weights(nu, length: int, backend: Backend = Backend.EXACT) -> tuple:
     """First ``length`` kernel weights of order ν, ``weights[n-1] = w_ν(n)``, cut from
     the row grown by the recurrence and memoised per (ν, backend) in an LRU cache of
     ``_KERNEL_CACHE_ROWS`` rows."""
-    nu = _order_value(nu)
+    nu = _order(nu)
     _integer(length, "length", 0)
-    return _unscaled(*_scaled_kernel(nu, length, backend)) if length else ()
+    return _unscaled(*_scaled_kernel(nu, length, _backend(backend))) if length else ()
 
 
 kernel_cache_info = _kernel_slot.cache_info
@@ -130,7 +129,9 @@ def _scaled_kernel(nu, length: int, backend: Backend) -> tuple:
     no factor ``p+q(j−1)`` of the numerator shares a prime with q, and n of them
     carry every other prime of n!.  For ``n < length`` that part of n is
     ``gcd(n, q^length.bit_length())``, as no prime divides n ``n.bit_length()`` times.
-    ``nums`` are the weights over ``dens[-1]``, grown by ``w(n+1) = w(n)·(p+q(n−1))/(qn)``."""
+    ``nums`` are the weights over ``dens[-1]``, grown by ``w(n+1) = w(n)·(p+q(n−1))/(qn)``.
+    A cut comes over its own ``dens[length−1]`` (the ``x // ratio`` step is needed, not
+    waste): :func:`_remainders` divides its source scale by that denominator."""
     p, q = nu.numerator, nu.denominator
     exact = backend is Backend.EXACT
     slot = _kernel_slot(p, q, exact)
@@ -174,7 +175,8 @@ class KernelRow:
         backend: Backend = Backend.EXACT,
     ) -> "KernelRow":
         order = as_order(order)
-        return cls(base=base, order=order, weights=kernel_weights(order, length, backend))
+        _integer(base, "base")
+        return cls(base=base, order=order, weights=kernel_weights(order.value, length, backend))
 
 
 # Packed calls read _PACK outputs per dot product.  Below 16 outputs packing
@@ -234,8 +236,9 @@ def _sums(f: GridFunction, a: int, order, m: int, hi: int, first: int = 0) -> tu
 def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int, first: int = 0) -> tuple:
     """The checked Caputo-like differences of ``f`` from base ``a`` at every point
     of ``[a+first, hi]``, in the scaled form."""
-    mu = as_order(mu).require_non_integer("caputo-like nabla difference")
-    return _sums(f, a, mu.m - mu.value, mu.m, hi, first)
+    mu = _order(mu, "caputo-like nabla difference")
+    m = math.ceil(mu)
+    return _sums(f, a, m - mu, m, hi, first)
 
 
 # A call with fewer outputs keeps the plain remainder dot product.  On a 2-vCPU
@@ -270,13 +273,13 @@ def _remainders(order: Fraction, source: tuple, lo: int, hi: int, backend: Backe
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     """Order-ν backward fractional sum of ``f`` from base ``a`` at ``t``:
     ``Σ_{s=a}^{t} w_ν(t−s+1)·f(s)``.  Integer ν reproduces the iterated sum."""
-    (dot,), d = _sums(f, a, _order_value(nu), 0, t, t - a)
+    (dot,), d = _sums(f, a, _order(nu), 0, t, t - a)
     return _scalar(dot, d)
 
 
 def frac_sum_grid(f: GridFunction, a: int, nu: OrderInput, hi: int = None) -> GridFunction:
     """Fractional sum evaluated at every ``t`` in ``[a, hi]`` (default ``f.hi``)."""
-    sums = _sums(f, a, _order_value(nu), 0, f.hi if hi is None else hi)
+    sums = _sums(f, a, _order(nu), 0, f.hi if hi is None else hi)
     return GridFunction._of(a, _unscaled(*sums))
 
 
@@ -284,7 +287,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
     """Delta-form fractional sum of order ν evaluated at the shifted point
     ``a + ν + j``: the falling-power kernel ``(a+ν+j−s−1)`` to the power ν−1,
     normalised by Γ(ν), summed for ``s = a .. a+j``."""
-    nu = _order_value(nu)
+    nu = _order(nu)
     _integer(j, "shift j", 0)
     # (a+ν+j−s−1) falling power of (ν−1) over Γ(ν) reduces to w_ν(a+j−s+1),
     # the kernel of the backward sum at a+j.

@@ -20,7 +20,7 @@ from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderError, ParameterError
-from .scalars import Backend, Scalar, _cast, _integer, backend_of, falling_factorial, rising_factorial
+from .scalars import Backend, Scalar, _backend, _cast, _integer, backend_of, falling_factorial, rising_factorial
 
 __all__ = [
     "GridDomain",
@@ -141,7 +141,7 @@ class GridFunction:
         backend: Backend = Backend.EXACT,
     ) -> "GridFunction":
         vals = [fn(t) for t in range(lo, hi + 1)]
-        if backend is Backend.FLOAT:
+        if _backend(backend) is Backend.FLOAT:
             vals = [float(v) for v in vals]
         return cls(lo, tuple(vals))
 

@@ -20,7 +20,7 @@ from typing import IO, Union
 from . import __version__
 from .errors import DomainError, ParameterError, ParseError
 from .grid import GridFunction
-from .scalars import Backend, Scalar
+from .scalars import Backend, Scalar, _backend
 
 __all__ = [
     "format_scalar",
@@ -60,6 +60,11 @@ def parse_scalar(text: str, backend: Backend = Backend.EXACT) -> Scalar:
     ASCII ``p`` and ``p/q`` skip the ``Fraction`` text parser; every other form
     goes to it.  The float value is ``p / q``, correctly rounded, which is what
     ``float(Fraction(text))`` gives."""
+    return _parse_scalar(text, _backend(backend))
+
+
+def _parse_scalar(text: str, backend: Backend) -> Scalar:
+    """:func:`parse_scalar` on a checked backend, once per value of the grid readers."""
     text = text.strip()
     lane = _P_OVER_Q(text)
     try:
@@ -114,6 +119,7 @@ def to_json(obj) -> str:
 
 def read_grid_csv(source: Union[str, IO[str]], backend: Backend = Backend.EXACT) -> GridFunction:
     """Read a ``t,value`` CSV into a grid function."""
+    backend = _backend(backend)
     if isinstance(source, str):
         return _read_path(read_grid_csv, source, backend, newline="")
     reader = csv.reader(source)
@@ -132,7 +138,7 @@ def read_grid_csv(source: Union[str, IO[str]], backend: Backend = Backend.EXACT)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: malformed index {row[0]!r}") from exc
         try:
-            value = parse_scalar(row[1], backend)
+            value = _parse_scalar(row[1], backend)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         points.append(t)
@@ -178,6 +184,7 @@ def write_grid_csv(f: GridFunction, sink: Union[str, IO[str]]) -> None:
 
 def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT) -> GridFunction:
     """Read ``{"lo": int, "values": [...]}`` into a grid function."""
+    backend = _backend(backend)
     if isinstance(source, str):
         return _read_path(read_grid_json, source, backend)
     try:
@@ -196,7 +203,7 @@ def read_grid_json(source: Union[str, IO[str]], backend: Backend = Backend.EXACT
         if isinstance(v, bool):
             raise ParseError("grid values must be numbers or 'p/q' strings")
         if isinstance(v, str):
-            values.append(parse_scalar(v, backend))
+            values.append(_parse_scalar(v, backend))
         elif isinstance(v, int):
             values.append(Fraction(v) if backend is Backend.EXACT else _finite_float(v))
         elif isinstance(v, float):
@@ -222,6 +229,7 @@ def write_grid_json(f: GridFunction, sink: Union[str, IO[str]]) -> None:
 def read_grid(path: str, fmt: str = None, backend: Backend = Backend.EXACT) -> GridFunction:
     """Read a grid file, dispatching on ``fmt`` (``csv``/``json``) or, when
     omitted, on the file extension."""
+    _backend(backend)
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
     if fmt == "csv":

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Tuple
 
 from .errors import ParameterError, UsageError
 from .fracops import (
-    as_order,
+    _order,
     delta_frac_sum,
     frac_sum,
     frac_sum_grid,
@@ -45,6 +45,7 @@ from .scalars import (
     DEFAULT_TOLERANCE,
     Scalar,
     TolerancePolicy,
+    _backend,
     _cast,
     _float_gamma_ratio,
     _integer,
@@ -157,6 +158,9 @@ class SuiteResult:
     failing_seeds: Tuple[int, ...]
     backend: Backend
     master_seed: int
+
+    def __post_init__(self) -> None:
+        _backend(self.backend)
 
     @property
     def passed(self) -> bool:
@@ -394,7 +398,7 @@ def run_identity_suite(
     A pair failing :func:`scalar_close` under ``policy`` is a failure, so two
     exact values must be equal.  The absolute defect of the worst pair is reported.
     """
-    trial_fn = _suite(_IDENTITY_SUITES, "identity", name)
+    trial_fn, backend = _suite(_IDENTITY_SUITES, "identity", name), _backend(backend)
 
     def judge(rng: random.Random) -> Tuple[bool, List[float]]:
         pairs = trial_fn(rng, backend)
@@ -415,10 +419,10 @@ def _draw_weight(rng: random.Random, allow_zero: bool = False) -> Fraction:
 
 
 def _trial_opial(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-    mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
+    mu = _order(opts["mu"]) if opts.get("mu") else _draw_fraction(
         rng, Fraction(2), Fraction(3), non_integer=True
-    ))
-    m = mu.m
+    )
+    m = math.ceil(mu)
     a = rng.randint(0, 3)
     p_cap = min(2, m - 1)
     p = rng.randint(0, p_cap)
@@ -442,10 +446,10 @@ def _trial_shifted(name: str, zero_initials_from: Callable[[int, int], int]) -> 
     at the base.  The draw order is fixed so trial seeds reproduce."""
 
     def trial(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-        mu = as_order(opts["mu"]) if opts.get("mu") else as_order(_draw_fraction(
+        mu = _order(opts["mu"]) if opts.get("mu") else _draw_fraction(
             rng, Fraction(0), Fraction(4), non_integer=True
-        ))
-        m = mu.m
+        )
+        m = math.ceil(mu)
         p = opts.get("p")
         if p is None:
             p = rng.randint(0, m - 1)
@@ -459,13 +463,10 @@ def _trial_shifted(name: str, zero_initials_from: Callable[[int, int], int]) -> 
 
 def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
     if opts.get("mu_list"):
-        orders = [as_order(o) for o in opts["mu_list"]]
+        orders = [_order(o) for o in opts["mu_list"]]
     else:
-        orders = [
-            as_order(_draw_fraction(rng, Fraction(1), Fraction(2), non_integer=True)),
-            as_order(_draw_fraction(rng, Fraction(2), Fraction(3), non_integer=True)),
-        ]
-    m_top = orders[-1].m
+        orders = [_draw_fraction(rng, Fraction(lo), Fraction(lo + 1), non_integer=True) for lo in (1, 2)]
+    m_top = math.ceil(orders[-1])
     a = rng.randint(0, 3)
     b = a + m_top + 1 + rng.randint(0, 9)
     f = _maybe_float_grid(_spec_function(rng, a, m_top, b, k0=0), backend)
@@ -491,8 +492,8 @@ def _report(
     gamma, delta, r = (opts.get(key, 2) for key in ("gamma", "delta", "r"))
     p = 0 if p is None else p
     if name == "opial":
-        mu = as_order(mu)
-        inner, outer = weights or (_unit_weights(f, a + 1, end), _unit_weights(f, a + mu.m, end))
+        mu = _order(mu)
+        inner, outer = weights or (_unit_weights(f, a + 1, end), _unit_weights(f, a + math.ceil(mu), end))
         params = OpialParams(mu=mu, p=p, gamma=gamma, delta=delta, inner_weights=inner, outer_weights=outer)
         return opial_report(f, a, end, params, opts.get("g_variant", "paper"), policy)
     if name == "opial-25":
@@ -533,7 +534,7 @@ def run_inequality_suite(
     hold (:attr:`InequalityReport.holds`: NaN first, then an exact certificate,
     then the slack tolerance).
     """
-    trial_fn = _suite(_INEQUALITY_SUITES, "inequality", name)
+    trial_fn, backend = _suite(_INEQUALITY_SUITES, "inequality", name), _backend(backend)
 
     def judge(rng: random.Random) -> Tuple[bool, Tuple[float]]:
         report = trial_fn(rng, backend, params, policy)
@@ -550,7 +551,7 @@ def replay_identity_trial(
 ) -> List[Pair]:
     """Re-run the single identity trial behind a recorded seed; returns its
     (got, want) comparison pairs."""
-    trial_fn = _suite(_IDENTITY_SUITES, "identity", name)
+    trial_fn, backend = _suite(_IDENTITY_SUITES, "identity", name), _backend(backend)
     return trial_fn(random.Random(_integer(trial_seed, "trial_seed", 0)), backend)
 
 
@@ -558,5 +559,5 @@ def replay_inequality_trial(
     name: str, trial_seed: int, backend: Backend = Backend.EXACT, **params
 ) -> InequalityReport:
     """Re-run the single inequality trial behind a recorded seed."""
-    trial_fn = _suite(_INEQUALITY_SUITES, "inequality", name)
+    trial_fn, backend = _suite(_INEQUALITY_SUITES, "inequality", name), _backend(backend)
     return trial_fn(random.Random(_integer(trial_seed, "trial_seed", 0)), backend, params, DEFAULT_TOLERANCE)

@@ -30,7 +30,7 @@ from operator import add, mul, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BoundaryConditionError, DomainError, ParameterError
-from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _scaled_kernel, as_order
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _order, _scaled_kernel
 from .grid import GridFunction, _initial_column, _scalar, _scaled, _scaled_differences, nabla
 from .scalars import (
     Backend,
@@ -138,12 +138,12 @@ def _conjugate_pair(gamma, delta, policy: TolerancePolicy) -> Tuple[Exponent, Ex
 
 
 def _admissible(
-    f: GridFunction, a: int, mu: FractionalOrder, p: int, k0: int, first: int, end: int, policy, context: str
+    f: GridFunction, a: int, mu: Fraction, p: int, k0: int, first: int, end: int, policy, context: str
 ) -> None:
     """The one admissibility check of the bounds: base then shift, then the window
     ``[a−m+1, end]`` with ``end ≥ first``, then ``∇^k f(a) = 0`` for ``k0 ≤ k < m``
     (a float within ``abs_eps``)."""
-    m = mu.m
+    m = math.ceil(mu)
     _check_base_shift(a, mu, p)
     _check_window(f, a - m + 1, first, end)
     for k, v in enumerate(_initial_column(f, a, m)[k0:], k0):
@@ -170,8 +170,6 @@ def _float_range(report):
 def _fmt_param(value) -> Union[str, int, float, list]:
     if isinstance(value, list):
         return list(map(_fmt_param, value))
-    if isinstance(value, FractionalOrder):
-        return str(value)
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
     return value
@@ -276,13 +274,13 @@ class OpialParams:
     outer_weights: GridFunction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", as_order(self.mu).require_non_integer("weighted-product bound"))
+        object.__setattr__(self, "mu", FractionalOrder(_order(self.mu, "weighted-product bound")))
         gamma, delta = _conjugate_pair(self.gamma, self.delta, DEFAULT_TOLERANCE)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", delta)
-        if self.mu.value <= 2 or self.mu.m < 3:
+        if self.mu.value <= 2:
             raise ParameterError(f"order must exceed 2 (ceiling >= 3), got {self.mu.value}")
-        _check_base_shift(0, self.mu, self.p)  # opial_report checks its own base
+        _check_base_shift(0, self.mu.value, self.p)  # opial_report checks its own base
         for tau, v in enumerate(self.inner_weights.values, self.inner_weights.lo):
             if not v > 0:
                 raise ParameterError(f"inner weight at {tau} must be positive")
@@ -303,8 +301,8 @@ def opial_report(
     """Weighted product of ``|∇^p f|`` and the Caputo-like difference against
     the Hölder bound ``K·G^{1/δ}``."""
     _check_g_variant(g_variant)
-    mu, p, gamma, delta = params.mu, params.p, params.gamma, params.delta
-    m = mu.m
+    mu, p, gamma, delta = params.mu.value, params.p, params.gamma, params.delta
+    m = math.ceil(mu)
     _admissible(f, a, mu, p, p, a + m, t, policy, "weighted-product bound")
     c, d = _weights(f, params.inner_weights, a + 1, t), _weights(f, params.outer_weights, a + m, t)
 
@@ -315,7 +313,7 @@ def opial_report(
     g_pow, dg = _powers([x * abs(y) for x, y in zip(cs, cn)], dcs * dc, delta)
     g_nums = list(accumulate(g_pow))
     window = range(m - 1, t - a)
-    wn, dw = _scaled_kernel(mu.value - p, t - a, f.backend)
+    wn, dw = _scaled_kernel(mu - p, t - a, f.backend)
     wp, dwp = _powers(wn, dw, gamma)
     if isinstance(dwp, int):  # integer powers: θ^γ is one convolution of w^γ with (1/C)^γ
         us, du = _scaled(c, invert=True)
@@ -338,7 +336,7 @@ def opial_report(
     chosen = bound_paper if g_variant == "paper" else bound_tight
     rhs = k_factor * _root(chosen, delta)
 
-    gamma_norm = math.gamma(float(mu.value - p))
+    gamma_norm = math.gamma(float(mu - p))
     components: Dict[str, object] = {
         "theta": [to_float(_root(x / dtheta, gamma)) * gamma_norm for x in theta],
         "g": [x / dg for x in g_nums],
@@ -384,8 +382,8 @@ def ostrowski_report(
 ) -> InequalityReport:
     """Deviation of the tail average of ``∇^p f`` from its base value against
     the telescoped kernel-mass bound.  Rational end to end on the exact backend."""
-    mu = as_order(mu).require_non_integer("average-deviation bound")
-    m = mu.m
+    mu = _order(mu, "average-deviation bound")
+    m = math.ceil(mu)
     _admissible(f, a, mu, p, p + 1, a + m + 1, b, policy, "average-deviation bound")
 
     count = b - a - m
@@ -396,7 +394,7 @@ def ostrowski_report(
 
     cn, dc = _caputo(f, a + 1, mu, b)
     max_cap = _scalar(max(map(abs, cn)), dc)
-    coefficient = sum_rising_closed_form(a, m, b, mu.value - p, f.backend) / count
+    coefficient = sum_rising_closed_form(a, m, b, mu - p, f.backend) / count
     rhs = coefficient * max_cap
 
     components: Dict[str, object] = {
@@ -447,8 +445,8 @@ def _norm_report(
     """Core of the norm bounds.  Sobolev type: ``(Σ|∇^p f|^r)^{1/r}`` against
     ``K^{1/r}·(Σ|Caputo|^δ)^{1/δ}`` with the kernel power sum ``K`` of outer
     exponent ``r/γ``.  ``r=None`` is the Poincaré type: ``r = δ``, no roots."""
-    mu = as_order(mu).require_non_integer("norm bound")
-    m = mu.m
+    mu = _order(mu, "norm bound")
+    m = math.ceil(mu)
     gamma, delta = _conjugate_pair(gamma, delta, policy)
     poincare = r is None
     r = delta if poincare else _norm_exponent(r)
@@ -456,7 +454,7 @@ def _norm_report(
 
     pn, dp = _scaled_differences(f, a + m, p, b)
     lhs_pow = _power_sum(map(abs, pn), dp, r)
-    kernel_factor = _kernel_power_sums(mu.value - p, a, m, b, gamma, r / gamma, f.backend)
+    kernel_factor = _kernel_power_sums(mu - p, a, m, b, gamma, r / gamma, f.backend)
     cn, dc = _caputo(f, a + 1, mu, b)
     cap_abs = list(map(abs, cn))
     caputo_norm = _power_sum(cap_abs, dc, delta)
@@ -519,17 +517,17 @@ def avg_sobolev_report(
 ) -> InequalityReport:
     """r-norm of ``f`` against the averaged weighted Caputo energies across an
     ascending family of orders."""
-    orders = [as_order(o).require_non_integer("averaged norm bound") for o in orders]
+    orders = [_order(o, "averaged norm bound") for o in orders]
     if len(orders) == 0:
         raise ParameterError("need at least one order")
     for lo_, hi_ in zip(orders, orders[1:]):
-        if not lo_.value < hi_.value:
+        if not lo_ < hi_:
             raise ParameterError("orders must be strictly increasing")
     if len(weight_grids) != len(orders):
         raise ParameterError("need one weight grid per order")
     r = _norm_exponent(r)
     k = len(orders)
-    m_top = orders[-1].m
+    m_top = math.ceil(orders[-1])
     # the averaged bound is on f itself, p = 0
     _admissible(f, a, orders[-1], 0, 0, a + m_top + 1, b, policy, "averaged norm bound")
     weights = [_weights(f, C, a + 1, b) for C in weight_grids]
@@ -544,7 +542,7 @@ def avg_sobolev_report(
         (cn, dc), (cs, dcs) = _caputo(f, a + 1, order, b), _scaled(c)
         b_terms.append(_scalar(reduce(add, (x * v * v for x, v in zip(cs, cn)), 0), dcs * dc * dc))
 
-    kernel_sums = (_kernel_power_sums(o.value, a, o.m, b, two, r / two, f.backend) for o in orders)
+    kernel_sums = (_kernel_power_sums(o, a, math.ceil(o), b, two, r / two, f.backend) for o in orders)
     delta_star = max((_power_sum(*_scaled([x]), two / r) for x in kernel_sums), key=to_float)
     rho_star = max(1 / x for c in weights for x in c)
 

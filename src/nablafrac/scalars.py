@@ -74,6 +74,14 @@ def backend_of(value: Scalar) -> Backend:
     raise ParameterError(f"unsupported scalar type {type(value).__name__}")
 
 
+def _backend(value) -> Backend:
+    """The one backend-argument rule: a ``Backend`` member, else a ``ParameterError``.
+    Public entries call it once; internal code tests the trusted member with ``is``."""
+    if not isinstance(value, Backend):
+        raise ParameterError(f"backend must be Backend.EXACT or Backend.FLOAT, got {value!r}")
+    return value
+
+
 def _integer(value, what: str, minimum: Optional[int] = None, error=ParameterError) -> int:
     """The one integer-argument rule: ``value`` must be an ``int`` that is not a
     ``bool``, and at least ``minimum`` (0 or 1) when one is given."""
@@ -142,7 +150,13 @@ def _cast(backend: Backend, x) -> Scalar:
     return float(x) if backend is Backend.FLOAT else Fraction(x)
 
 
-def _as_rational(value, what: str) -> Fraction:
+def _gamma_argument(value, what: str, exact: bool) -> Scalar:
+    """A gamma argument on one backend: a ``Fraction`` (a ``float`` is refused) or a
+    ``float``; a ``bool`` is neither."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{what} must not be a boolean, got {value!r}")
+    if not exact:
+        return float(value)
     if isinstance(value, float):
         raise ParameterError(f"{what} must be rational on the exact backend, got float {value!r}")
     return Fraction(value)
@@ -242,8 +256,8 @@ def gamma_ratio_mod1(p, q) -> Fraction:
     The quotient telescopes through ``Γ(z+1) = z·Γ(z)``; an integer argument
     difference is exactly the case in which the value is rational.
     """
-    p = _as_rational(p, "gamma argument")
-    q = _as_rational(q, "gamma argument")
+    p = _gamma_argument(p, "gamma argument", True)
+    q = _gamma_argument(q, "gamma argument", True)
     diff = p - q
     if diff.denominator != 1:
         raise NormalizationError(
@@ -263,9 +277,9 @@ def normalized_rising(n: int, nu, c=None, backend: Backend = Backend.EXACT) -> S
     """
     if _integer(n, "n") < 1:
         raise DomainError(f"normalized rising factorial needs n >= 1, got n={n}")
-    exact = backend is Backend.EXACT
-    nu = _as_rational(nu, "order") if exact else float(nu)
-    c = nu if c is None else _as_rational(c, "normaliser") if exact else float(c)
+    exact = _backend(backend) is Backend.EXACT
+    nu = _gamma_argument(nu, "order", exact)
+    c = nu if c is None else _gamma_argument(c, "normaliser", exact)
     if not (nu > 0 and c > 0):  # NaN fails too
         raise OrderError("orders must be positive")
     if exact:

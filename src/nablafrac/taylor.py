@@ -8,6 +8,7 @@ is the backbone of the verification suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -16,7 +17,7 @@ from operator import add, sub
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
-from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _remainders, _scaled_kernel, as_order
+from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _order, _remainders, _scaled_kernel
 from .grid import (
     GridFunction,
     _coerce_values,
@@ -27,7 +28,7 @@ from .grid import (
     _scaled_differences,
     _unscaled,
 )
-from .scalars import Backend, Scalar, _integer, normalized_rising
+from .scalars import Backend, Scalar, _backend, _integer, normalized_rising
 
 __all__ = [
     "TaylorExpansion",
@@ -81,13 +82,13 @@ def _check_window(f: GridFunction, lo: int, first: int, end: int) -> None:
     f.require_window(lo, end)
 
 
-def _check_base_shift(a: int, mu: FractionalOrder, p: int) -> None:
+def _check_base_shift(a: int, mu: Fraction, p: int) -> None:
     """The base-then-shift rule of the extended expansion and the bounds: ``a ≥ 0``,
     then an integer shift ``0 ≤ p < μ``."""
     if _integer(a, "a") < 0:
         raise ParameterError(f"base must be non-negative, got a={a}")
-    if _integer(p, "shift p", 0) >= mu.value:
-        raise OrderError(f"shift p={p} must be smaller than the order {mu.value}")
+    if _integer(p, "shift p", 0) >= mu:
+        raise OrderError(f"shift p={p} must be smaller than the order {mu}")
 
 
 def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
@@ -110,20 +111,22 @@ def _series(
     the plain expansion, ``total = poly_part + remainder``; an integer p expands
     ``∇^p f``, with ``total = ∇^p f(t)``."""
     _integer(a, "a")
-    mu = as_order(mu).require_non_integer(context)
+    mu = _order(mu, context)
+    m = math.ceil(mu)
     if p is not None:
         _check_base_shift(a, mu, p)
     t_hi = f.hi if t_hi is None else t_hi
-    _check_window(f, a - mu.m + 1, a + mu.m, t_hi)
-    t_lo = a + mu.m if t_lo is None else t_lo
+    _check_window(f, a - m + 1, a + m, t_hi)
+    t_lo = a + m if t_lo is None else t_lo
     shift = p or 0
     cap = _caputo(f, a + 1, mu, t_hi)
-    initials = _initial_column(f, a, mu.m)
+    initials = _initial_column(f, a, m)
     offsets = range(t_lo - a, t_hi - a + 1)
-    parts = _expand(mu.value - shift, initials, cap, shift, offsets, f.backend)
+    parts = _expand(mu - shift, initials, cap, shift, offsets, f.backend)
     totals = [poly + rem for poly, rem in parts] if p is None else _differences(f, t_lo, p, t_hi)
+    order = FractionalOrder(mu)
     series = {
-        t: TaylorExpansion(base=a, order=mu, p=shift, poly_part=poly, remainder=rem, total=total)
+        t: TaylorExpansion(base=a, order=order, p=shift, poly_part=poly, remainder=rem, total=total)
         for t, (poly, rem), total in zip(range(t_lo, t_hi + 1), parts, totals)
     }
     return cap, series
@@ -159,11 +162,11 @@ def taylor_extended_series(
 def kernel_sum_closed_form(a: int, mu: OrderInput, t: int, backend: Backend = Backend.EXACT) -> Scalar:
     """Closed form of the cumulative kernel mass ``Σ_{n=1}^{t−a} w_μ(n)``:
     the rising power of ``t−a`` with exponent μ over Γ(μ+1)."""
-    mu = as_order(mu)
+    mu, backend = _order(mu), _backend(backend)
     _integer(a, "a")
     if _integer(t, "t") <= a:
         raise EmptyRangeError(f"kernel sum needs t > a, got t={t}, a={a}")
-    return normalized_rising(t - a, mu.value + 1, backend=backend)
+    return normalized_rising(t - a, mu + 1, backend=backend)
 
 
 def sum_rising_closed_form(
@@ -171,12 +174,12 @@ def sum_rising_closed_form(
 ) -> Scalar:
     """Closed form of ``Σ_{j=a+m+1}^{b} (j−a)`` to the rising power ν, normalised
     by Γ(ν+2): the telescoped difference of two rising powers of exponent ν+1."""
-    nu = as_order(nu)
+    nu, backend = _order(nu), _backend(backend)
     _integer(a, "a")
     _integer(m, "m", 1)
     if _integer(b, "b") <= a + m:
         raise EmptyRangeError(f"rising sum needs b > a+m, got b={b}, a+m={a + m}")
-    target = nu.value + 2
+    target = nu + 2
     upper = normalized_rising(b - a, target, backend=backend)
     lower = normalized_rising(m, target, backend=backend)
     return upper - lower
@@ -272,9 +275,10 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
 
 def taylor_seed_of(f: GridFunction, a: int, m: int, b: int = None) -> TaylorSeed:
     """Extract the seed that reconstructs ``f`` on ``[a−m+1, b]``."""
-    if b is None:
-        b = f.hi
-    f.require_window(_integer(a, "a") - m + 1, b)
+    _integer(a, "a")
+    _integer(m, "m", 1)
+    b = f.hi if b is None else _integer(b, "b")
+    f.require_window(a - m + 1, b)
     f.require_window(a, a)  # the initial column needs f(a) even when b < a
     initial = _initial_column(f, a, m)
     h = _differences(f, a + 1, m, b)

@@ -2,26 +2,39 @@
 shift, length, count and seed is an ``int`` that is not a ``bool``, and anything
 else raises a typed ``NablaFracError``."""
 
+import inspect
+import io
 from fractions import Fraction
 
 import pytest
 
+import nablafrac
+import nablafrac.gridio
 from nablafrac import (
+    Backend,
+    FractionalOrder,
     FunctionSpec,
     GridDomain,
     GridFunction,
+    KernelRow,
     NablaFracError,
+    OpialParams,
     OrderError,
     ParameterError,
     ParseError,
+    SuiteResult,
     TaylorSeed,
+    as_order,
+    avg_sobolev_report,
     caputo_nabla,
+    caputo_nabla_grid,
     delta,
     delta_frac_sum,
     eval_from_taylor_data,
     frac_sum,
     frac_sum_grid,
     g_bound,
+    gamma_ratio_mod1,
     gen_function,
     kernel_sum_closed_form,
     kernel_weights,
@@ -36,12 +49,16 @@ from nablafrac import (
     replay_inequality_trial,
     run_identity_suite,
     run_inequality_suite,
+    sobolev_report,
     sum_rising_closed_form,
     taylor_extended,
+    taylor_extended_series,
     taylor_fractional,
+    taylor_fractional_series,
     taylor_integer,
     taylor_seed_of,
 )
+from nablafrac.gridio import parse_scalar, read_grid, read_grid_csv, read_grid_json
 
 F = GridFunction(-3, tuple(t**3 for t in range(-3, 9)))
 G = GridFunction(0, (0, 1, 3, 6, 10, 15))
@@ -167,6 +184,12 @@ def test_floats_and_booleans_are_typed_errors(name):
         (lambda: spec(value_range=-1), ParameterError, "value_range must be a non-negative integer, got -1"),
         (lambda: eval_from_taylor_data(SEED, 2.0), ParameterError, "t must be an integer, got 2.0"),
         (lambda: TaylorSeed(a=0.5, m=2, initial=(0, 0), h=(1, 1)), ParameterError, "a must be an integer, got 0.5"),
+        (lambda: taylor_seed_of(F, 0, 1.5), ParameterError, "m must be a positive integer, got 1.5"),
+        (lambda: taylor_seed_of(F, 0, 0), ParameterError, "m must be a positive integer, got 0"),
+        (lambda: taylor_seed_of(F, 2, 2, 1.5), ParameterError, "b must be an integer, got 1.5"),
+        (lambda: taylor_seed_of(F, 2, 2, 5.0), ParameterError, "b must be an integer, got 5.0"),
+        (lambda: KernelRow.build(1.5, "1/2", 3), ParameterError, "base must be an integer, got 1.5"),
+        (lambda: KernelRow.build(True, "1/2", 3), ParameterError, "base must be an integer, got True"),
     ],
 )
 def test_one_message_form(call, error, message):
@@ -232,3 +255,161 @@ def test_a_bad_order_is_reported_before_a_bad_base_or_shift():
         delta_frac_sum(F, 0, 2.5, -1)
     with pytest.raises(OrderError):
         kernel_weights(True, -1)
+
+
+ONES = GridFunction.constant(1, 8, 1)
+
+# Every entry that takes an order, called with the order ``nu``; the order is
+# checked before any other argument.
+EVERY_ORDER_CALL = {
+    **ORDER_CALLS,
+    "FractionalOrder": FractionalOrder,
+    "as_order": as_order,
+    "KernelRow.build": lambda nu: KernelRow.build(0, nu, 3),
+    "kernel_sum_closed_form": lambda nu: kernel_sum_closed_form(0, nu, 4),
+    "sum_rising_closed_form": lambda nu: sum_rising_closed_form(0, 2, 6, nu),
+    "caputo_nabla": lambda nu: caputo_nabla(F, 0, nu, 5),
+    "caputo_nabla_grid": lambda nu: caputo_nabla_grid(F, 0, nu, 5),
+    "taylor_fractional": lambda nu: taylor_fractional(F, 0, nu, 4),
+    "taylor_fractional_series": lambda nu: taylor_fractional_series(F, 0, nu, 6),
+    "taylor_extended": lambda nu: taylor_extended(F, 0, nu, 0, 4),
+    "taylor_extended_series": lambda nu: taylor_extended_series(F, 0, nu, 0, 6),
+    "remainder_bound": lambda nu: remainder_bound(F, 0, nu, 0, 4),
+    "ostrowski_report": lambda nu: ostrowski_report(F, 0, 6, nu, 0),
+    "poincare_report": lambda nu: poincare_report(F, 0, 6, nu, 0),
+    "sobolev_report": lambda nu: sobolev_report(F, 0, 6, nu, 0),
+    "avg_sobolev_report": lambda nu: avg_sobolev_report(F, 0, 6, [nu], [ONES]),
+    "OpialParams": lambda nu: OpialParams(mu=nu, p=0, gamma=2, delta=2, inner_weights=ONES, outer_weights=ONES),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_ORDER_CALL)
+@pytest.mark.parametrize(
+    "order, error, message",
+    [
+        (0, OrderError, "order must be positive, got 0"),
+        (Fraction(-1, 2), OrderError, "order must be positive, got -1/2"),
+        ("-5/2", OrderError, "order must be positive, got -5/2"),
+        (True, OrderError, "orders must be rational, got True"),
+        (2.5, OrderError, "orders must be rational, got 2.5"),
+        ("1.5", ParseError, "malformed order '1.5'; expected INT or INT/POSINT"),
+        ("x", ParseError, "malformed order 'x'; expected INT or INT/POSINT"),
+    ],
+)
+def test_one_order_rule(name, order, error, message):
+    # fracops._order reads every order argument: one text parser, so "1.5" is a
+    # ParseError everywhere, FractionalOrder(...) included
+    with pytest.raises(error) as info:
+        EVERY_ORDER_CALL[name](order)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_order_text_is_read_by_one_parser():
+    errors = []
+    for call in (FractionalOrder, as_order, FractionalOrder.parse):
+        with pytest.raises(ParseError) as info:
+            call("1.5")
+        errors.append(str(info.value))
+    assert errors == ["malformed order '1.5'; expected INT or INT/POSINT"] * 3
+    assert FractionalOrder("5/2") == FractionalOrder(Fraction(5, 2)) == as_order(" 5 / 2 ")
+
+
+def test_an_order_of_an_order_is_the_order():
+    mu = FractionalOrder(Fraction(7, 3))
+    assert FractionalOrder(mu) == mu and FractionalOrder(mu).value == Fraction(7, 3)
+    assert as_order(mu) is mu
+    assert kernel_weights(mu, 5) == kernel_weights(Fraction(7, 3), 5)
+    assert OpialParams(mu=mu, p=0, gamma=2, delta=2, inner_weights=ONES, outer_weights=ONES).mu == mu
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("caputo_nabla", 2),
+        ("caputo_nabla", "3"),
+        ("taylor_fractional", Fraction(2)),
+        ("taylor_extended", FractionalOrder(3)),
+        ("ostrowski_report", "2"),
+        ("avg_sobolev_report", 1),
+        ("OpialParams", 3),
+    ],
+)
+def test_an_integer_order_is_refused_in_context(name, order):
+    with pytest.raises(OrderError, match=r" requires a non-integer order, got \d$"):
+        EVERY_ORDER_CALL[name](order)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: normalized_rising(2, True), "order must not be a boolean, got True"),
+        (lambda: normalized_rising(2, False), "order must not be a boolean, got False"),
+        (lambda: normalized_rising(2, True, backend=Backend.FLOAT), "order must not be a boolean, got True"),
+        (lambda: normalized_rising(2, MU, True), "normaliser must not be a boolean, got True"),
+        (lambda: normalized_rising(2, 0.5, True, Backend.FLOAT), "normaliser must not be a boolean, got True"),
+        (lambda: gamma_ratio_mod1(True, 1), "gamma argument must not be a boolean, got True"),
+        (lambda: gamma_ratio_mod1(Fraction(1, 2), False), "gamma argument must not be a boolean, got False"),
+    ],
+)
+def test_booleans_are_not_gamma_arguments(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError and str(info.value) == message
+
+
+def _backend_calls(tmp_path):
+    """One call per public entry with a ``backend`` parameter, valid but for the backend."""
+    path = tmp_path / "grid.csv"
+    path.write_text("t,value\n0,1/3\n1,2\n", encoding="utf-8")
+    return {
+        "GridFunction.from_callable": lambda b: GridFunction.from_callable(0, 3, Fraction, b),
+        "KernelRow.build": lambda b: KernelRow.build(0, MU, 3, b),
+        "SuiteResult": lambda b: SuiteResult("duality", 1, 0, 0.0, (), b, 42),
+        "kernel_sum_closed_form": lambda b: kernel_sum_closed_form(0, MU, 4, b),
+        "kernel_weights": lambda b: kernel_weights(MU, 4, b),
+        "normalized_rising": lambda b: normalized_rising(3, MU, backend=b),
+        "parse_scalar": lambda b: parse_scalar("1/3", b),
+        "read_grid": lambda b: read_grid(str(path), backend=b),
+        "read_grid_csv": lambda b: read_grid_csv(io.StringIO("t,value\n0,1/3\n1,2\n"), b),
+        "read_grid_json": lambda b: read_grid_json(io.StringIO('{"lo": 0, "values": ["1/3", 2]}'), b),
+        "replay_identity_trial": lambda b: replay_identity_trial("duality", 1, b),
+        "replay_inequality_trial": lambda b: replay_inequality_trial("ostrowski", 1, b),
+        "run_identity_suite": lambda b: run_identity_suite("duality", 1, 42, b),
+        "run_inequality_suite": lambda b: run_inequality_suite("ostrowski", 1, 42, b),
+        "sum_rising_closed_form": lambda b: sum_rising_closed_form(0, 2, 6, MU, b),
+    }
+
+
+def _public_backend_callables():
+    """Every public callable of ``nablafrac`` and ``nablafrac.gridio``, methods of
+    public classes included, whose signature has a ``backend`` parameter."""
+    found = set()
+    for module in (nablafrac, nablafrac.gridio):
+        for name in dir(module):
+            value = getattr(module, name)
+            if name.startswith("_") or not callable(value):
+                continue
+            members = [(name, value)]
+            if inspect.isclass(value):
+                members += [(f"{name}.{attr}", getattr(value, attr)) for attr in dir(value) if not attr.startswith("_")]
+            for qualname, member in members:
+                try:
+                    if callable(member) and "backend" in inspect.signature(member).parameters:
+                        found.add(qualname)
+                except (TypeError, ValueError):  # no signature (a builtin or an enum member)
+                    continue
+    return found
+
+
+@pytest.mark.parametrize("value", ["exact", "float", None])
+def test_one_backend_rule(value, tmp_path):
+    # scalars._backend reads every backend argument: a string or None is refused,
+    # never read as one backend or the other
+    calls = _backend_calls(tmp_path)
+    assert set(calls) == _public_backend_callables()
+    for name, call in calls.items():
+        with pytest.raises(ParameterError) as info:
+            call(value)
+        assert str(info.value) == f"backend must be Backend.EXACT or Backend.FLOAT, got {value!r}", name
+        for backend in Backend:
+            call(backend)

@@ -279,3 +279,48 @@ def test_one_family_to_report_call():
         if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in FAMILY_CALLS and id(node) not in allowed
     ]
     assert allowed and offenders == []
+
+
+def _homes(tree):
+    """``id(node) -> qualified name`` of the innermost function or class around each node."""
+    homes = {}
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{qualname}.{child.name}" if qualname else child.name
+            homes[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return homes
+
+
+ORDER_MESSAGES = re.compile(r"orders must be rational|order must be positive|requires a non-integer order")
+
+# The public edge: the only places that build a FractionalOrder, each to hand it out.
+ORDER_OBJECTS = {
+    ("fracops.py", "as_order"),  # as_order itself
+    ("fracops.py", "KernelRow.build"),  # KernelRow.order
+    ("ineq.py", "OpialParams.__post_init__"),  # OpialParams.mu
+    ("taylor.py", "_series"),  # TaylorExpansion.order
+}
+
+
+def test_one_order_rule():
+    # fracops._order reads every order argument and alone words the order errors;
+    # internal code carries the plain rational and builds no FractionalOrder
+    messages, objects = set(), set()
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "_order_value" not in text, path.name
+        tree = ast.parse(text, filename=str(path))
+        homes = _homes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and ORDER_MESSAGES.search(node.value):
+                messages.add((path.name, homes[id(node)]))
+            if isinstance(node, ast.Call) and _name(node.func) in ("as_order", "FractionalOrder"):
+                objects.add((path.name, homes[id(node)]))
+    assert messages == {("fracops.py", "_order")}
+    assert objects <= ORDER_OBJECTS, sorted(objects - ORDER_OBJECTS)

@@ -387,6 +387,16 @@ class TestLongExactRemainderOracle:
         values = (Fraction(rng.randint(-9, 9), rng.choice((1, q, 6))) for _ in range(t_max - a + m))
         self.check(GridFunction(a - m + 1, tuple(values)), a, Fraction(q * m - 1, q), t_max)
 
+    def test_series_on_a_prefix_of_a_longer_row(self):
+        # the order-7/3 row is grown to 300 weights first, so the series reads an
+        # 80-weight prefix of it; _remainders needs that prefix over its own
+        # denominator, not over the last one of the row
+        kernel_weights(Fraction(7, 3), 300)
+        rng = random.Random(7)
+        a, t_max = 0, 77
+        values = (Fraction(rng.randint(-9, 9), rng.choice((1, 3, 6))) for _ in range(t_max - a + 3))
+        self.check(GridFunction(a - 2, tuple(values)), a, Fraction(7, 3), t_max)
+
     @pytest.mark.parametrize("q", (2, 3, 5, 53, 61))
     def test_prime_denominator_at_the_row_end(self, q):
         # w(q+1) has the reduced denominator q^q·q: the last row index needs the prime
