@@ -18,6 +18,7 @@ float results bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -87,10 +88,10 @@ def _order(value: OrderInput, context: str = None) -> Union[int, Fraction]:
     keeps the sign), else a ``FractionalOrder``'s value, a string read by :func:`parse_order`
     or a rational, checked positive.  A ``context`` needs a non-integer order."""
     if not (type(value) in (int, Fraction) and value.numerator > 0):
-        if isinstance(value, (float, bool)):
-            raise OrderError(f"orders must be rational, got {value!r}")
         if isinstance(value, FractionalOrder):
             value = value.value
+        if isinstance(value, bool) or not isinstance(value, (numbers.Rational, str)):
+            raise OrderError(f"orders must be rational, got {value!r}")
         value = parse_order(value) if isinstance(value, str) else Fraction(value)
         if value <= 0:
             raise OrderError(f"order must be positive, got {value}")

@@ -58,7 +58,6 @@ from .taylor import (
     construct_from_taylor_data,
     kernel_sum_closed_form,
     sum_rising_closed_form,
-    taylor_extended,
     taylor_extended_series,
     taylor_fractional,
     taylor_fractional_series,
@@ -242,10 +241,8 @@ def _trial_duality(rng: random.Random, backend: Backend) -> List[Pair]:
     length = rng.randint(1, 30)
     f = _maybe_float_grid(_random_grid(rng, a, a + length - 1), backend)
     nu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
-    return [
-        (delta_frac_sum(f, a, nu, j), frac_sum(f, a, nu, a + j))
-        for j in range(length)
-    ]
+    want = frac_sum_grid(f, a, nu).values
+    return [(delta_frac_sum(f, a, nu, j), want[j]) for j in range(length)]
 
 
 def _trial_nabla_of_sum(rng: random.Random, backend: Backend) -> List[Pair]:
@@ -265,12 +262,7 @@ def _trial_taylor(rng: random.Random, backend: Backend) -> List[Pair]:
     a = rng.randint(-5, 5)
     f = _maybe_float_grid(_spec_function(rng, a, m, a + rng.randint(m + 1, 40 - m), k0=m), backend)
     mu = _draw_order_with_ceiling(rng, m)
-    series = taylor_fractional_series(f, a, mu)
-    pairs: List[Pair] = []
-    for t, expansion in series.items():
-        pairs.append((expansion.total, f.at(t)))
-        pairs.append((expansion.poly_part + expansion.remainder, expansion.total))
-    return pairs
+    return [(expansion.total, f.at(t)) for t, expansion in taylor_fractional_series(f, a, mu).items()]
 
 
 def _trial_taylor_extended(rng: random.Random, backend: Backend) -> List[Pair]:
@@ -279,17 +271,8 @@ def _trial_taylor_extended(rng: random.Random, backend: Backend) -> List[Pair]:
     f = _maybe_float_grid(_spec_function(rng, a, m, a + rng.randint(m + 1, 40 - m), k0=m), backend)
     mu = _draw_order_with_ceiling(rng, m)
     p = rng.randint(0, m - 1)
-    series = taylor_extended_series(f, a, mu, p)
-    pairs: List[Pair] = []
-    for expansion, want in zip(series.values(), _differences(f, a + m, p, f.hi)):
-        pairs.append((expansion.total, want))
-        pairs.append((expansion.poly_part + expansion.remainder, expansion.total))
-    reduced = taylor_extended(f, a, mu, 0, f.hi)
-    plain = taylor_fractional(f, a, mu, f.hi)
-    pairs.append((reduced.poly_part, plain.poly_part))
-    pairs.append((reduced.remainder, plain.remainder))
-    pairs.append((reduced.total, plain.total))
-    return pairs
+    pairs = [(e.poly_part + e.remainder, e.total) for e in taylor_extended_series(f, a, mu, p).values()]
+    return pairs + [(f.at(f.hi), taylor_fractional(f, a, mu, f.hi).total)]
 
 
 def _trial_power_rule(rng: random.Random, backend: Backend) -> List[Pair]:

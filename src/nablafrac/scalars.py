@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,14 +153,14 @@ def _cast(backend: Backend, x) -> Scalar:
 
 def _gamma_argument(value, what: str, exact: bool) -> Scalar:
     """A gamma argument on one backend: a ``Fraction`` (a ``float`` is refused) or a
-    ``float``; a ``bool`` is neither."""
+    ``float``.  A ``bool``, a string or ``None`` is refused on both backends."""
     if isinstance(value, bool):
         raise ParameterError(f"{what} must not be a boolean, got {value!r}")
-    if not exact:
-        return float(value)
-    if isinstance(value, float):
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
+    if exact and isinstance(value, float):
         raise ParameterError(f"{what} must be rational on the exact backend, got float {value!r}")
-    return Fraction(value)
+    return Fraction(value) if exact else float(value)
 
 
 def _classify_exponent(alpha) -> Tuple[bool, Union[int, Fraction, float]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import add, sub
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
 from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _order, _remainders, _scaled_kernel
@@ -102,28 +102,31 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     return TaylorExpansion(base=a, order=m, p=0, poly_part=poly, remainder=rem, total=poly + rem)
 
 
+_PLAIN = object()  # the p of the plain expansion; unlike None, no caller can pass it
+
+
 def _series(
-    f: GridFunction, a: int, mu: OrderInput, p: Optional[int], t_lo: int, t_hi: int, context: str
+    f: GridFunction, a: int, mu: OrderInput, p, t_lo: int, t_hi: int, context: str
 ) -> Tuple[tuple, Dict[int, TaylorExpansion]]:
     """Check the arguments, then return the Caputo-like difference on
     ``[a+1, t_hi]`` (based at ``a+1``, in the scaled form) and the order-μ expansions at every t in
-    ``[t_lo, t_hi]`` (default ``[a+m, f.hi]``), in ascending t.  ``p = None`` is
-    the plain expansion, ``total = poly_part + remainder``; an integer p expands
-    ``∇^p f``, with ``total = ∇^p f(t)``."""
+    ``[t_lo, t_hi]`` (default ``[a+m, f.hi]``), in ascending t.  ``p = _PLAIN`` is
+    the plain expansion, ``total = poly_part + remainder``; any other p is a checked
+    shift, which expands ``∇^p f`` with ``total = ∇^p f(t)``."""
     _integer(a, "a")
     mu = _order(mu, context)
     m = math.ceil(mu)
-    if p is not None:
+    if p is not _PLAIN:
         _check_base_shift(a, mu, p)
     t_hi = f.hi if t_hi is None else t_hi
     _check_window(f, a - m + 1, a + m, t_hi)
     t_lo = a + m if t_lo is None else t_lo
-    shift = p or 0
+    shift = 0 if p is _PLAIN else p
     cap = _caputo(f, a + 1, mu, t_hi)
     initials = _initial_column(f, a, m)
     offsets = range(t_lo - a, t_hi - a + 1)
     parts = _expand(mu - shift, initials, cap, shift, offsets, f.backend)
-    totals = [poly + rem for poly, rem in parts] if p is None else _differences(f, t_lo, p, t_hi)
+    totals = [poly + rem for poly, rem in parts] if p is _PLAIN else _differences(f, t_lo, p, t_hi)
     order = FractionalOrder(mu)
     series = {
         t: TaylorExpansion(base=a, order=order, p=shift, poly_part=poly, remainder=rem, total=total)
@@ -136,14 +139,14 @@ def taylor_fractional(f: GridFunction, a: int, mu: OrderInput, t: int) -> Taylor
     """Backward expansion of non-integer order μ about ``a``: the integer poly
     part of degree m−1 plus the order-μ kernel applied to the Caputo-like
     difference based at ``a+1``."""
-    return _series(f, a, mu, None, t, t, "fractional expansion")[1][t]
+    return _series(f, a, mu, _PLAIN, t, t, "fractional expansion")[1][t]
 
 
 def taylor_fractional_series(
     f: GridFunction, a: int, mu: OrderInput, t_max: int = None
 ) -> Dict[int, TaylorExpansion]:
     """Expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
-    return _series(f, a, mu, None, None, t_max, "fractional expansion")[1]
+    return _series(f, a, mu, _PLAIN, None, t_max, "fractional expansion")[1]
 
 
 def taylor_extended(f: GridFunction, a: int, mu: OrderInput, p: int, t: int) -> TaylorExpansion:

@@ -190,6 +190,15 @@ def test_floats_and_booleans_are_typed_errors(name):
         (lambda: taylor_seed_of(F, 2, 2, 5.0), ParameterError, "b must be an integer, got 5.0"),
         (lambda: KernelRow.build(1.5, "1/2", 3), ParameterError, "base must be an integer, got 1.5"),
         (lambda: KernelRow.build(True, "1/2", 3), ParameterError, "base must be an integer, got True"),
+        # a shift p=None is not the plain expansion
+        (lambda: taylor_extended(F, 0, MU, None, 4), ParameterError, "shift p must be a non-negative integer, got None"),
+        (
+            lambda: taylor_extended_series(F, 0, MU, None),
+            ParameterError,
+            "shift p must be a non-negative integer, got None",
+        ),
+        (lambda: remainder_bound(F, 0, MU, None, 4), ParameterError, "shift p must be a non-negative integer, got None"),
+        (lambda: taylor_extended(F, -1, MU, None, 4), ParameterError, "base must be non-negative, got a=-1"),
     ],
 )
 def test_one_message_form(call, error, message):
@@ -255,9 +264,19 @@ def test_a_bad_order_is_reported_before_a_bad_base_or_shift():
         delta_frac_sum(F, 0, 2.5, -1)
     with pytest.raises(OrderError):
         kernel_weights(True, -1)
+    with pytest.raises(OrderError):
+        taylor_extended(F, -1, 2.5, None, 4)
 
 
 ONES = GridFunction.constant(1, 8, 1)
+
+
+class Opaque:
+    """Neither a number nor a string, with a repr that keeps the test ids fixed."""
+
+    def __repr__(self):
+        return "Opaque()"
+
 
 # Every entry that takes an order, called with the order ``nu``; the order is
 # checked before any other argument.
@@ -292,6 +311,9 @@ EVERY_ORDER_CALL = {
         ("-5/2", OrderError, "order must be positive, got -5/2"),
         (True, OrderError, "orders must be rational, got True"),
         (2.5, OrderError, "orders must be rational, got 2.5"),
+        (None, OrderError, "orders must be rational, got None"),
+        ([1], OrderError, "orders must be rational, got [1]"),
+        (Opaque(), OrderError, "orders must be rational, got Opaque()"),
         ("1.5", ParseError, "malformed order '1.5'; expected INT or INT/POSINT"),
         ("x", ParseError, "malformed order 'x'; expected INT or INT/POSINT"),
     ],
@@ -349,6 +371,15 @@ def test_an_integer_order_is_refused_in_context(name, order):
         (lambda: normalized_rising(2, 0.5, True, Backend.FLOAT), "normaliser must not be a boolean, got True"),
         (lambda: gamma_ratio_mod1(True, 1), "gamma argument must not be a boolean, got True"),
         (lambda: gamma_ratio_mod1(Fraction(1, 2), False), "gamma argument must not be a boolean, got False"),
+        # nor is a string or None, on either backend
+        (lambda: normalized_rising(2, "1/2"), "order must be a number, got '1/2'"),
+        (lambda: normalized_rising(2, "1/2", backend=Backend.FLOAT), "order must be a number, got '1/2'"),
+        (lambda: normalized_rising(2, None), "order must be a number, got None"),
+        (lambda: normalized_rising(2, None, backend=Backend.FLOAT), "order must be a number, got None"),
+        (lambda: normalized_rising(2, MU, "5/2"), "normaliser must be a number, got '5/2'"),
+        (lambda: normalized_rising(2, 0.5, "1/2", Backend.FLOAT), "normaliser must be a number, got '1/2'"),
+        (lambda: gamma_ratio_mod1("1/2", "3/2"), "gamma argument must be a number, got '1/2'"),
+        (lambda: gamma_ratio_mod1(Fraction(1, 2), None), "gamma argument must be a number, got None"),
     ],
 )
 def test_booleans_are_not_gamma_arguments(call, message):

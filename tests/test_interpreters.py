@@ -18,12 +18,20 @@ import pytest
 SOURCE = Path(__file__).resolve().parent.parent / "src"
 
 # The eight criterion-5 configurations and opial-25 at 60 trials, and the nine
-# identity suites at 20 trials, on both backends at seed 42.
+# identity suites at 20 trials with the (got, want) pairs of each trial, so every
+# pointwise float bit is compared, on both backends at seed 42.
 SCRIPT = textwrap.dedent(
     """
     import hashlib
 
-    from nablafrac import Backend, IDENTITY_SUITE_NAMES, run_identity_suite, run_inequality_suite
+    from nablafrac import (
+        Backend,
+        IDENTITY_SUITE_NAMES,
+        mix_seed,
+        replay_identity_trial,
+        run_identity_suite,
+        run_inequality_suite,
+    )
     from nablafrac.gridio import suite_to_dict, to_json
 
     INEQUALITIES = (
@@ -48,6 +56,9 @@ SCRIPT = textwrap.dedent(
             for name in IDENTITY_SUITE_NAMES:
                 result = run_identity_suite(name, 20, 42, backend)
                 digest.update(to_json(suite_to_dict(result)).encode())
+                for index in range(20):
+                    pairs = replay_identity_trial(name, mix_seed(42, index), backend)
+                    digest.update(to_json(pairs).encode())
         return digest.hexdigest()
 
 
