@@ -221,25 +221,27 @@ def _convolve(w: Sequence, v: Sequence, lo: int, hi: int, acc=0) -> list:
     return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in range(lo, hi + 1)]
 
 
-def _sums(f: GridFunction, a: int, order, m: int, hi: int, first: int = 0) -> tuple:
+def _sums(f: GridFunction, a: int, order, m: int, hi: int, point: bool = False) -> tuple:
     """The checked order-``order`` fractional sums of ``∇^m f`` from base ``a`` at
-    every point of ``[a+first, hi]``, in the scaled form.  The one range rule of
-    every fractional sum and Caputo-like difference: ``hi ≥ a``, then ``f`` covers
-    ``[a−m, hi]``."""
-    if hi < _integer(a, "a"):
+    ``hi`` alone (``point``) or at every point of ``[a, hi]``, in the scaled form.
+    The one range rule of every fractional sum and Caputo-like difference: ``a``
+    and the end point (the caller's ``t`` at a point, else ``hi``) are integers,
+    ``hi ≥ a``, then ``f`` covers ``[a−m, hi]``."""
+    _integer(a, "a")
+    if _integer(hi, "t" if point else "hi") < a:
         raise EmptyRangeError(f"sum range needs t >= a, got t={hi} < a={a}")
     f.require_window(a - m, hi)
     vs, dv = _scaled_differences(f, a, m, hi)
     ws, dw = _scaled_kernel(order, hi - a + 1, f.backend)
-    return _convolve(ws, vs, first, hi - a), dw * dv
+    return _convolve(ws, vs, hi - a if point else 0, hi - a), dw * dv
 
 
-def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int, first: int = 0) -> tuple:
-    """The checked Caputo-like differences of ``f`` from base ``a`` at every point
-    of ``[a+first, hi]``, in the scaled form."""
+def _caputo(f: GridFunction, a: int, mu: OrderInput, hi: int, point: bool = False) -> tuple:
+    """The checked Caputo-like differences of ``f`` from base ``a`` at ``hi`` alone
+    (``point``) or at every point of ``[a, hi]``, in the scaled form."""
     mu = _order(mu, "caputo-like nabla difference")
     m = math.ceil(mu)
-    return _sums(f, a, m - mu, m, hi, first)
+    return _sums(f, a, m - mu, m, hi, point)
 
 
 # A call with fewer outputs keeps the plain remainder dot product.  On a 2-vCPU
@@ -274,7 +276,7 @@ def _remainders(order: Fraction, source: tuple, lo: int, hi: int, backend: Backe
 def frac_sum(f: GridFunction, a: int, nu: OrderInput, t: int) -> Scalar:
     """Order-ν backward fractional sum of ``f`` from base ``a`` at ``t``:
     ``Σ_{s=a}^{t} w_ν(t−s+1)·f(s)``.  Integer ν reproduces the iterated sum."""
-    (dot,), d = _sums(f, a, _order(nu), 0, t, t - a)
+    (dot,), d = _sums(f, a, _order(nu), 0, t, True)
     return _scalar(dot, d)
 
 
@@ -298,7 +300,7 @@ def delta_frac_sum(f: GridFunction, a: int, nu: OrderInput, j: int) -> Scalar:
 def caputo_nabla(f: GridFunction, a: int, mu: OrderInput, t: int) -> Scalar:
     """Caputo-like backward difference of non-integer order μ: the fractional
     sum of order ``m−μ`` (m = ⌈μ⌉) applied to the m-th backward difference."""
-    (dot,), d = _caputo(f, a, mu, t, t - a)
+    (dot,), d = _caputo(f, a, mu, t, True)
     return _scalar(dot, d)
 
 

@@ -21,13 +21,7 @@ from operator import add
 from typing import Callable, Dict, List, Tuple
 
 from .errors import ParameterError, UsageError
-from .fracops import (
-    _order,
-    delta_frac_sum,
-    frac_sum,
-    frac_sum_grid,
-    kernel_weights,
-)
+from .fracops import _order, delta_frac_sum, frac_sum_grid, kernel_weights
 from .grid import GridFunction, _differences
 from .ineq import (
     InequalityReport,
@@ -226,14 +220,10 @@ def _trial_exponents(rng: random.Random, backend: Backend) -> List[Pair]:
     f = _maybe_float_grid(_random_grid(rng, a, a + length - 1), backend)
     mu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
     nu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
-    inner_mu = frac_sum_grid(f, a, mu)
-    inner_nu = frac_sum_grid(f, a, nu)
-    combined = frac_sum_grid(f, a, mu + nu)
-    pairs: List[Pair] = []
-    for t in range(a, f.hi + 1):
-        pairs.append((frac_sum(inner_mu, a, nu, t), combined.at(t)))
-        pairs.append((frac_sum(inner_nu, a, mu, t), combined.at(t)))
-    return pairs
+    mu_nu = frac_sum_grid(frac_sum_grid(f, a, mu), a, nu).values
+    nu_mu = frac_sum_grid(frac_sum_grid(f, a, nu), a, mu).values
+    combined = frac_sum_grid(f, a, mu + nu).values
+    return [pair for x, y, want in zip(mu_nu, nu_mu, combined) for pair in ((x, want), (y, want))]
 
 
 def _trial_duality(rng: random.Random, backend: Backend) -> List[Pair]:
@@ -249,9 +239,8 @@ def _trial_nabla_of_sum(rng: random.Random, backend: Backend) -> List[Pair]:
     a = rng.randint(-5, 5)
     length = rng.randint(3, 30)
     f = _maybe_float_grid(_random_grid(rng, a, a + length - 1), backend)
-    nu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
-    p_max = math.ceil(nu) - 1
-    p = rng.randint(0, max(0, min(3, p_max)))
+    nu = _draw_fraction(rng, Fraction(1), Fraction(3), non_integer=True)
+    p = rng.randint(1, math.ceil(nu) - 1)
     summed = frac_sum_grid(f, a, nu)
     reduced = frac_sum_grid(f, a, nu - p)
     return list(zip(_differences(summed, a + p, p, f.hi), reduced.values[p:]))
@@ -277,12 +266,12 @@ def _trial_taylor_extended(rng: random.Random, backend: Backend) -> List[Pair]:
 
 def _trial_power_rule(rng: random.Random, backend: Backend) -> List[Pair]:
     a = rng.randint(-5, 5)
-    k = rng.randint(0, 6)
-    p = rng.randint(0, k)
+    k = rng.randint(1, 6)
+    p = rng.randint(1, k)
     span = 30
     row = kernel_weights(Fraction(k + 1), span, backend)
     one, zero = _cast(backend, 1), _cast(backend, 0)
-    g = GridFunction(a, (one if k == 0 else zero,) + tuple(row))
+    g = GridFunction(a, (zero,) + tuple(row))
     expected = (one if k == p else zero,) + kernel_weights(Fraction(k - p + 1), span, backend)
     return list(zip(_differences(g, a + p, p, a + span), expected[p:]))
 

@@ -108,8 +108,8 @@ def _weights(f: GridFunction, C: GridFunction, lo: int, hi: int) -> tuple:
 
 def _unit_weights(f: GridFunction, lo: int, end: int) -> GridFunction:
     """Weight 1 on ``[lo, end]`` in the backend of ``f``, one point when ``end < lo``, so
-    the report's own window check judges ``end``; only its type is checked here."""
-    return GridFunction.constant(lo, max(_integer(end, "index"), lo), _cast(f.backend, 1))
+    the report's own window check judges ``end``, an integer the caller has checked."""
+    return GridFunction.constant(lo, max(end, lo), _cast(f.backend, 1))
 
 
 def _norm_exponent(r) -> Exponent:
@@ -138,14 +138,15 @@ def _conjugate_pair(gamma, delta, policy: TolerancePolicy) -> Tuple[Exponent, Ex
 
 
 def _admissible(
-    f: GridFunction, a: int, mu: Fraction, p: int, k0: int, first: int, end: int, policy, context: str
+    f: GridFunction, a: int, mu: Fraction, p: int, k0: int, first: int, end: int, policy, context: str,
+    name: str = "b",
 ) -> None:
     """The one admissibility check of the bounds: base then shift, then the window
-    ``[a−m+1, end]`` with ``end ≥ first``, then ``∇^k f(a) = 0`` for ``k0 ≤ k < m``
-    (a float within ``abs_eps``)."""
+    ``[a−m+1, end]`` with an integer ``end ≥ first`` (the argument ``name``), then
+    ``∇^k f(a) = 0`` for ``k0 ≤ k < m`` (a float within ``abs_eps``)."""
     m = math.ceil(mu)
     _check_base_shift(a, mu, p)
-    _check_window(f, a - m + 1, first, end)
+    _check_window(f, a - m + 1, first, end, name)
     for k, v in enumerate(_initial_column(f, a, m)[k0:], k0):
         if v != 0 if isinstance(v, Fraction) else abs(v) > policy.abs_eps:
             raise BoundaryConditionError(
@@ -244,9 +245,9 @@ def g_bound(g: GridFunction, a: int, m: int, t: int, variant: str = "paper") -> 
     convex and may even go negative otherwise.
     """
     _check_g_variant(variant)
-    for value, what in ((a, "a"), (m, "m"), (t, "t")):  # before the window ends derive from them
+    for value, what in ((a, "a"), (m, "m")):  # before the window ends derive from them
         _integer(value, what)
-    _check_window(g, a + m - 2, a + m, t)
+    _check_window(g, a + m - 2, a + m, t, "t")
     return _g_bounds(g.at(t), g.at(t - 1), g.at(a + m - 1), g.at(a + m - 2))[variant == "tight"]
 
 
@@ -303,7 +304,7 @@ def opial_report(
     _check_g_variant(g_variant)
     mu, p, gamma, delta = params.mu.value, params.p, params.gamma, params.delta
     m = math.ceil(mu)
-    _admissible(f, a, mu, p, p, a + m, t, policy, "weighted-product bound")
+    _admissible(f, a, mu, p, p, a + m, t, policy, "weighted-product bound", "t")
     c, d = _weights(f, params.inner_weights, a + 1, t), _weights(f, params.outer_weights, a + m, t)
 
     cn, dc = _caputo(f, a + 1, mu, t)
@@ -361,7 +362,7 @@ def opial_corollary_25(
         p=0,
         gamma=2,
         delta=2,
-        inner_weights=_unit_weights(f, 1, t),
+        inner_weights=_unit_weights(f, 1, _integer(t, "t")),
         outer_weights=_unit_weights(f, 3, t),
     )
     report = opial_report(f, 0, t, params, "paper", policy)

@@ -105,6 +105,9 @@ class TolerancePolicy:
     abs_eps: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name, value in (("rel_eps", self.rel_eps), ("abs_eps", self.abs_eps)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not (self.rel_eps > 0.0 and self.abs_eps > 0.0):
             raise ParameterError("tolerance bounds must be strictly positive")
 

@@ -73,11 +73,11 @@ def _expand(
     return [(_scalar(poly, di), rem) for poly, rem in zip(polys, rems)]
 
 
-def _check_window(f: GridFunction, lo: int, first: int, end: int) -> None:
-    """The one window check of every Taylor form and bound: ``end ≥ first``, then
-    ``f`` covers ``[lo, end]``.  The paper's window is ``lo = a−m+1`` and
-    ``first = a+m`` (``a+m+1`` for the averages)."""
-    if end < first:
+def _check_window(f: GridFunction, lo: int, first: int, end: int, name: str) -> None:
+    """The one window check of every Taylor form and bound: the end point (the
+    argument ``name``) is an integer, ``end ≥ first``, then ``f`` covers ``[lo, end]``.
+    The paper's window is ``lo = a−m+1`` and ``first = a+m`` (``a+m+1`` for the averages)."""
+    if _integer(end, name) < first:
         raise WindowError(f"window needs its end point >= {first}, got {end}")
     f.require_window(lo, end)
 
@@ -95,7 +95,7 @@ def taylor_integer(f: GridFunction, a: int, m: int, t: int) -> TaylorExpansion:
     """Degree-(m−1) backward expansion about ``a`` plus the m-th difference remainder."""
     _integer(a, "a")
     _integer(m, "m", 1)
-    _check_window(f, a - m + 1, a + m, t)
+    _check_window(f, a - m + 1, a + m, t, "t")
     initials = _initial_column(f, a, m)
     h = _scaled_differences(f, a + 1, m, t)
     [(poly, rem)] = _expand(Fraction(m), initials, h, 0, (t - a,), f.backend)
@@ -106,11 +106,12 @@ _PLAIN = object()  # the p of the plain expansion; unlike None, no caller can pa
 
 
 def _series(
-    f: GridFunction, a: int, mu: OrderInput, p, t_lo: int, t_hi: int, context: str
+    f: GridFunction, a: int, mu: OrderInput, p, t_hi: int, context: str, point: bool = False
 ) -> Tuple[tuple, Dict[int, TaylorExpansion]]:
     """Check the arguments, then return the Caputo-like difference on
-    ``[a+1, t_hi]`` (based at ``a+1``, in the scaled form) and the order-μ expansions at every t in
-    ``[t_lo, t_hi]`` (default ``[a+m, f.hi]``), in ascending t.  ``p = _PLAIN`` is
+    ``[a+1, t_hi]`` (based at ``a+1``, in the scaled form) and the order-μ expansions
+    at ``t_hi`` alone (``point``, the caller's ``t``) or at every t in ``[a+m, t_hi]``
+    (the caller's ``t_max``, default ``f.hi``), in ascending t.  ``p = _PLAIN`` is
     the plain expansion, ``total = poly_part + remainder``; any other p is a checked
     shift, which expands ``∇^p f`` with ``total = ∇^p f(t)``."""
     _integer(a, "a")
@@ -118,9 +119,9 @@ def _series(
     m = math.ceil(mu)
     if p is not _PLAIN:
         _check_base_shift(a, mu, p)
-    t_hi = f.hi if t_hi is None else t_hi
-    _check_window(f, a - m + 1, a + m, t_hi)
-    t_lo = a + m if t_lo is None else t_lo
+    t_hi = f.hi if t_hi is None and not point else t_hi
+    _check_window(f, a - m + 1, a + m, t_hi, "t" if point else "t_max")
+    t_lo = t_hi if point else a + m
     shift = 0 if p is _PLAIN else p
     cap = _caputo(f, a + 1, mu, t_hi)
     initials = _initial_column(f, a, m)
@@ -139,27 +140,27 @@ def taylor_fractional(f: GridFunction, a: int, mu: OrderInput, t: int) -> Taylor
     """Backward expansion of non-integer order μ about ``a``: the integer poly
     part of degree m−1 plus the order-μ kernel applied to the Caputo-like
     difference based at ``a+1``."""
-    return _series(f, a, mu, _PLAIN, t, t, "fractional expansion")[1][t]
+    return _series(f, a, mu, _PLAIN, t, "fractional expansion", True)[1][t]
 
 
 def taylor_fractional_series(
     f: GridFunction, a: int, mu: OrderInput, t_max: int = None
 ) -> Dict[int, TaylorExpansion]:
     """Expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
-    return _series(f, a, mu, _PLAIN, None, t_max, "fractional expansion")[1]
+    return _series(f, a, mu, _PLAIN, t_max, "fractional expansion")[1]
 
 
 def taylor_extended(f: GridFunction, a: int, mu: OrderInput, p: int, t: int) -> TaylorExpansion:
     """Expansion of the p-th backward difference: ``total = ∇^p f(t)``, poly
     part summed for ``k = p .. m−1``, remainder kernel of order ``μ−p``."""
-    return _series(f, a, mu, p, t, t, "extended fractional expansion")[1][t]
+    return _series(f, a, mu, p, t, "extended fractional expansion", True)[1][t]
 
 
 def taylor_extended_series(
     f: GridFunction, a: int, mu: OrderInput, p: int, t_max: int = None
 ) -> Dict[int, TaylorExpansion]:
     """Extended expansions at every ``t`` in ``[a+m, t_max]`` sharing one Caputo pass."""
-    return _series(f, a, mu, p, None, t_max, "extended fractional expansion")[1]
+    return _series(f, a, mu, p, t_max, "extended fractional expansion")[1]
 
 
 def kernel_sum_closed_form(a: int, mu: OrderInput, t: int, backend: Backend = Backend.EXACT) -> Scalar:
@@ -194,7 +195,7 @@ def remainder_bound(
     """Deviation of ``∇^p f(t)`` from its poly part, and the kernel-mass bound:
     the rising power of ``t−a`` with exponent ``μ−p`` over Γ(μ−p+1) times the
     largest Caputo magnitude on ``(a, t]``.  Guarantees ``lhs ≤ rhs``."""
-    cap, series = _series(f, a, mu, p, t, t, "remainder bound")
+    cap, series = _series(f, a, mu, p, t, "remainder bound", True)
     expansion = series[t]
     lhs = abs(expansion.total - expansion.poly_part)
     max_cap = _scalar(max(map(abs, cap[0])), cap[1])

@@ -24,6 +24,7 @@ from nablafrac import (
     ParseError,
     SuiteResult,
     TaylorSeed,
+    TolerancePolicy,
     as_order,
     avg_sobolev_report,
     caputo_nabla,
@@ -42,6 +43,7 @@ from nablafrac import (
     nabla,
     normalized_rising,
     opial_corollary_25,
+    opial_report,
     ostrowski_report,
     poincare_report,
     remainder_bound,
@@ -199,6 +201,29 @@ def test_floats_and_booleans_are_typed_errors(name):
         ),
         (lambda: remainder_bound(F, 0, MU, None, 4), ParameterError, "shift p must be a non-negative integer, got None"),
         (lambda: taylor_extended(F, -1, MU, None, 4), ParameterError, "base must be non-negative, got a=-1"),
+        # an end point (t, b, hi, t_max) is checked by the integer rule after the order, base and shift
+        (lambda: taylor_fractional(F, 0, MU, None), ParameterError, "t must be an integer, got None"),
+        (lambda: taylor_extended(F, 0, MU, 1, None), ParameterError, "t must be an integer, got None"),
+        (lambda: remainder_bound(F, 0, MU, 1, None), ParameterError, "t must be an integer, got None"),
+        (lambda: taylor_integer(F, 0, 2, 4.0), ParameterError, "t must be an integer, got 4.0"),
+        (lambda: taylor_fractional_series(F, 0, MU, 6.0), ParameterError, "t_max must be an integer, got 6.0"),
+        (lambda: taylor_extended_series(F, 0, MU, 0, "x"), ParameterError, "t_max must be an integer, got 'x'"),
+        (lambda: frac_sum(F, 0, "1/2", "x"), ParameterError, "t must be an integer, got 'x'"),
+        (lambda: frac_sum(F, 0, "1/2", 1.5), ParameterError, "t must be an integer, got 1.5"),
+        (lambda: frac_sum_grid(F, 0, MU, 4.0), ParameterError, "hi must be an integer, got 4.0"),
+        (lambda: caputo_nabla(F, 0, MU, 5.0), ParameterError, "t must be an integer, got 5.0"),
+        (lambda: caputo_nabla_grid(F, 0, MU, "x"), ParameterError, "hi must be an integer, got 'x'"),
+        (lambda: poincare_report(F, 0, "x", "5/2", 1), ParameterError, "b must be an integer, got 'x'"),
+        (lambda: sobolev_report(F, 0, None, MU, 0), ParameterError, "b must be an integer, got None"),
+        (lambda: ostrowski_report(F, 0, 1.5, "5/2", 1), ParameterError, "b must be an integer, got 1.5"),
+        (lambda: avg_sobolev_report(F, 0, 5.0, [MU], [ONES]), ParameterError, "b must be an integer, got 5.0"),
+        (lambda: opial_report(F, 0, 4.5, OPIAL), ParameterError, "t must be an integer, got 4.5"),
+        (lambda: opial_corollary_25(F, 4.0), ParameterError, "t must be an integer, got 4.0"),
+        # the tolerance bounds are real numbers, not booleans
+        (lambda: TolerancePolicy(rel_eps=True), ParameterError, "rel_eps must be a real number, got True"),
+        (lambda: TolerancePolicy(abs_eps=False), ParameterError, "abs_eps must be a real number, got False"),
+        (lambda: TolerancePolicy(rel_eps="1e-9"), ParameterError, "rel_eps must be a real number, got '1e-9'"),
+        (lambda: TolerancePolicy(rel_eps=None), ParameterError, "rel_eps must be a real number, got None"),
     ],
 )
 def test_one_message_form(call, error, message):
@@ -269,6 +294,7 @@ def test_a_bad_order_is_reported_before_a_bad_base_or_shift():
 
 
 ONES = GridFunction.constant(1, 8, 1)
+OPIAL = OpialParams(mu=MU, p=0, gamma=2, delta=2, inner_weights=ONES, outer_weights=ONES)
 
 
 class Opaque:

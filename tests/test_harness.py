@@ -1,6 +1,7 @@
 """Harness tests: deterministic generation, seed mixing, suite runners."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,20 @@ class TestIdentitySuites:
         result = run_identity_suite(name, 15, 42, backend=Backend.FLOAT)
         assert result.failures == 0
         assert result.worst_slack < 1e-6
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_no_trial_draws_the_shift_zero(self, backend, seed):
+        # at p = 0 ∇^p is the identity, and both sides of a pair come from one
+        # computation.  power-rule returns 31 − p pairs; nabla-of-sum returns
+        # length − p, and its trial draws a, then the grid length, first.
+        for index in range(200):
+            trial_seed = mix_seed(seed, index)
+            assert len(replay_identity_trial("power-rule", trial_seed, backend)) <= 30
+            rng = random.Random(trial_seed)
+            rng.randint(-5, 5)
+            length = rng.randint(3, 30)
+            assert len(replay_identity_trial("nabla-of-sum", trial_seed, backend)) < length
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(UsageError):
