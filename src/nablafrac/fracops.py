@@ -11,8 +11,8 @@ package is the same discrete convolution ``Σ_{i=0}^{k} w[k−i]·v[i]``, and
 products in the scaled form of :mod:`grid` (integer numerators over one common
 denominator; kernel rows are cached scaled), many outputs at a time when the
 values are small, and only a value the caller sees becomes a ``Fraction``.
-Float sums accumulate in ascending ``i`` from the start value, which fixes the
-float results bit for bit.
+Float sums accumulate in ascending ``i`` from the start value in a plain loop,
+never the builtin ``sum``, which fixes the float results bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import EmptyRangeError, OrderError
@@ -191,13 +191,16 @@ _PACK_MAX_BITS = 32  # widest small operand of a call that packs
 def _convolve(w: Sequence, v: Sequence, lo: int, hi: int, acc=0) -> list:
     """``acc + Σ_{i=0}^{k} w[k−i]·v[i]`` for each ``k`` in ``lo .. hi``, added in
     ascending ``i`` from ``acc``: floats, or the integer numerators of exact
-    values in the scaled form.
+    values in the scaled form.  Each dot product is one ``s += x * y`` loop over
+    the reversed row, which the interpreter runs on its specialised float and
+    int instructions; the operations and their order are those of the sum.
 
     An integer call with many outputs and a small ``v`` packs ``_PACK`` kernel
     entries into each word, ``words[j] = Σ_u w[j−_PACK+1+u]·2^{uS}`` with ``w`` ≥ 0
     and zero outside its range, so one dot product against ``v`` gives the outputs
     ``k0 .. k0+_PACK−1`` as signed S-bit fields, read from low to high with a
     borrow.  ``S`` leaves room for every sum, so the outputs are the same."""
+    rw, step, start = w[hi::-1], 1, acc
     if hi + 1 - lo >= _PACK_MIN_OUTPUTS and type(w[0]) is type(v[0]) is int:
         kw, vbits = list(w[: hi + 1]), max(map(abs, v[: hi + 1])).bit_length()
         if vbits <= _PACK_MAX_BITS and min(kw) >= 0:
@@ -207,18 +210,23 @@ def _convolve(w: Sequence, v: Sequence, lo: int, hi: int, acc=0) -> list:
             for x in kw + [0] * (_PACK - 1):
                 word = (word >> size) | (x << top)
                 words.append(word)
-            outs = []
-            for k0 in range(lo, hi + 1, _PACK):
-                block = reduce(add, map(mul, reversed(words[: k0 + _PACK]), v), 0)
-                for _ in range(min(_PACK, hi + 1 - k0)):
-                    field = block & mask
-                    block >>= size
-                    if field & sign:  # a negative field borrowed one from the next
-                        field -= mask + 1
-                        block += 1
-                    outs.append(acc + field)
-            return outs
-    return [reduce(add, map(mul, reversed(w[: k + 1]), v), acc) for k in range(lo, hi + 1)]
+            rw, step, start = words[::-1], _PACK, 0
+    outs = []
+    for k in range(lo, hi + 1, step):
+        s = start
+        for x, y in zip(rw[hi - k :], v):
+            s += x * y
+        if step == 1:
+            outs.append(s)
+            continue
+        for _ in range(min(_PACK, hi + 1 - k)):
+            field = s & mask
+            s >>= size
+            if field & sign:  # a negative field borrowed one from the next
+                field -= mask + 1
+                s += 1
+            outs.append(acc + field)
+    return outs
 
 
 def _sums(f: GridFunction, a: int, order, m: int, hi: int, point: bool = False) -> tuple:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul, sub
+from operator import sub
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderError, ParameterError
@@ -191,9 +190,13 @@ def _scaled_differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
         vs = f.values[start:stop]
         if m == 0:
             return vs, 1.0
-        cs = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
-        windows = (reversed(vs[i : i + m + 1]) for i in range(len(vs) - m))
-        return tuple(reduce(add, map(mul, cs, window), 0.0) for window in windows), 1.0
+        cs, out = [(-1) ** j * math.comb(m, j) for j in range(m + 1)], []
+        for i in range(m, len(vs)):
+            s = 0.0
+            for c, x in zip(cs, reversed(vs[i - m : i + 1])):
+                s += c * x
+            out.append(s)
+        return tuple(out), 1.0
     if f._scaled_form is None:
         nums, d = _scaled(f.values)
         object.__setattr__(f, "_scaled_form", (tuple(nums), d))

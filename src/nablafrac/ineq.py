@@ -7,9 +7,9 @@ right-hand sides, the slack ``rhs − lhs``, and every intermediate component.
 Both backends share one arithmetic path over the scaled form of :mod:`grid`: exact
 sums and integral powers run on integer numerators, each value a report shows is one
 ``Fraction``, and fractional powers and roots are floats of the ``float()``-rounded rationals.
-Every multi-term sum adds left to right in ascending index order
-(``reduce``/``accumulate``, never the builtin ``sum``, whose float algorithm
-changed in Python 3.12), so float results do not depend on the interpreter.
+Every multi-term sum adds left to right in ascending index order (a plain
+loop, ``reduce`` or ``accumulate``, never the builtin ``sum``, whose float
+algorithm changed in Python 3.12), so float results do not depend on the interpreter.
 Whenever the exponent combination keeps both sides rational (``gamma = delta
 = 2``, and ``r = 2`` where an outer root appears), the report additionally
 carries exact squared certificates computed in big rationals.
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, wraps
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, repeat
 from operator import add, mul, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -90,11 +90,21 @@ def _powers(nums: Iterable, d, e: Exponent) -> tuple:
     return map(pow, xs, repeat(k if integral else float(e))), 1.0  # a float to a Fraction e is to float(e)
 
 
+def _added(xs: Iterable):
+    """The terms of a non-empty ``xs`` added left to right from the first, as
+    ``reduce(add, xs)`` adds them, in a loop the interpreter specialises."""
+    xs = iter(xs)
+    s = next(xs)
+    for x in xs:
+        s += x
+    return s
+
+
 def _power_sum(nums: Sequence, d, e: Exponent) -> Scalar:
     """``Σ (x/d)^e`` over a non-empty scaled sequence, added left to right from the
     first term: a ``Fraction`` for exact values and an integral ``e``, else a float."""
     powers, dp = _powers(nums, d, e)
-    return _scalar(reduce(add, powers), dp)
+    return _scalar(_added(powers), dp)
 
 
 def _weights(f: GridFunction, C: GridFunction, lo: int, hi: int) -> tuple:
@@ -313,7 +323,6 @@ def opial_report(
     # g = Σ (C·|cap|)^δ, and θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ in ascending τ
     g_pow, dg = _powers([x * abs(y) for x, y in zip(cs, cn)], dcs * dc, delta)
     g_nums = list(accumulate(g_pow))
-    window = range(m - 1, t - a)
     wn, dw = _scaled_kernel(mu - p, t - a, f.backend)
     wp, dwp = _powers(wn, dw, gamma)
     if isinstance(dwp, int):  # integer powers: θ^γ is one convolution of w^γ with (1/C)^γ
@@ -322,10 +331,8 @@ def opial_report(
         theta, dtheta = _convolve(wp, up, m - 1, t - a - 1), dwp * dup
         kp, dk = _powers([x * u for x, u in zip(ds, us[m - 1 :])], dd * du, gamma)
     else:  # per term: w/C = (w·d_C)/(d_w·C) rounds once, as float() rounds the Fraction
-        wd, cd = [x * dcs for x in wn], [dw * y for y in cs]
-        quotients = chain.from_iterable(map(truediv, wd[k::-1], cd) for k in window)
-        powers, dtheta = _powers(quotients, 1.0, gamma)
-        theta = [reduce(add, islice(powers, k + 1)) for k in window]
+        wd, cd, dtheta = [x * dcs for x in wn], [dw * y for y in cs], 1.0
+        theta = [_added(_powers(map(truediv, wd[k::-1], cd), 1.0, gamma)[0]) for k in range(m - 1, t - a)]
         kp, dk = _powers(map(truediv, [x * dcs for x in ds], [dd * y for y in cs[m - 1 :]]), 1.0, gamma)
     k_pow = _scalar(reduce(add, map(mul, kp, theta), 0), dk * dtheta)
     k_factor = _root(k_pow, gamma)
@@ -425,7 +432,7 @@ def _kernel_power_sums(
     powers, dp = _powers(*_scaled_kernel(order, b - a, backend), gamma)
     if isinstance(dp, float):
         powers = list(powers)
-        inner = [reduce(add, powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1)]
+        inner = [_added(powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1)]
     else:
         inner = list(accumulate(powers))[m_start - 1 :]
     return _power_sum(inner, dp, outer_exp)

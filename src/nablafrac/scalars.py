@@ -108,8 +108,8 @@ class TolerancePolicy:
         for name, value in (("rel_eps", self.rel_eps), ("abs_eps", self.abs_eps)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
-        if not (self.rel_eps > 0.0 and self.abs_eps > 0.0):
-            raise ParameterError("tolerance bounds must be strictly positive")
+            if not 0.0 < value < math.inf:  # a NaN bound fails this too
+                raise ParameterError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 DEFAULT_TOLERANCE = TolerancePolicy()

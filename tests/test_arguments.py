@@ -4,6 +4,7 @@ else raises a typed ``NablaFracError``."""
 
 import inspect
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,11 @@ def test_floats_and_booleans_are_typed_errors(name):
         (lambda: TolerancePolicy(abs_eps=False), ParameterError, "abs_eps must be a real number, got False"),
         (lambda: TolerancePolicy(rel_eps="1e-9"), ParameterError, "rel_eps must be a real number, got '1e-9'"),
         (lambda: TolerancePolicy(rel_eps=None), ParameterError, "rel_eps must be a real number, got None"),
+        # and finite and strictly positive, named with their value
+        (lambda: TolerancePolicy(rel_eps=math.inf), ParameterError, "rel_eps must be finite and strictly positive, got inf"),
+        (lambda: TolerancePolicy(abs_eps=math.nan), ParameterError, "abs_eps must be finite and strictly positive, got nan"),
+        (lambda: TolerancePolicy(rel_eps=0.0), ParameterError, "rel_eps must be finite and strictly positive, got 0.0"),
+        (lambda: TolerancePolicy(abs_eps=-1), ParameterError, "abs_eps must be finite and strictly positive, got -1"),
     ],
 )
 def test_one_message_form(call, error, message):

@@ -416,6 +416,47 @@ class TestFloatLongGrids:
         assert caputo_nabla_grid(ff, a, mu).values == want
 
 
+# Signed zeros, the smallest subnormal, values near overflow and infinities of
+# both signs, so sums start from a zero, overflow and meet inf − inf.
+EDGE_GRIDS = (
+    (-0.0, -0.0, -0.0, -0.0, -0.0),
+    (5e-324, -0.0, 5e-324, 1e308, 1e308, -1e308, 5e-324, -0.0),
+    (1.0, math.inf, -0.0, -math.inf, 2.0, 5e-324, 1e308),
+    (-math.inf, 1e308, 1e308, -0.0, math.inf, -0.0, 5e-324),
+    (-0.0, 5e-324, -5e-324, -0.0, 1e308, -math.inf, -0.0, -0.0),
+)
+
+
+def float_difference(values, i, m):
+    """``∇^m`` at index ``i`` on floats: ``0.0 + Σ_j (−1)^j C(m,j)·values[i−j]`` in ascending j."""
+    acc = 0.0
+    for j in range(m + 1):
+        acc += (-1) ** j * math.comb(m, j) * values[i - j]
+    return acc
+
+
+class TestFloatEdgeValues:
+    """Float grid sums and Caputo differences on fixed grids of edge values against
+    the ascending loop, by ``repr`` of every output: ``==`` does not see the sign of
+    a zero or where a NaN falls."""
+
+    @pytest.mark.parametrize("values", EDGE_GRIDS)
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(7, 5), Fraction(2), Fraction(5, 2)])
+    def test_sums(self, values, nu):
+        want = [ascending_float_sum(nu, values, k) for k in range(len(values))]
+        got = frac_sum_grid(GridFunction(-1, values), -1, nu).values
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("values", EDGE_GRIDS)
+    @pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(7, 5), Fraction(5, 2)])
+    def test_caputo(self, values, mu):
+        m = math.ceil(mu)
+        h = [float_difference(values, i, m) for i in range(m, len(values))]
+        want = [ascending_float_sum(m - mu, h, k) for k in range(len(h))]
+        got = caputo_nabla_grid(GridFunction(-1, values), m - 1, mu).values
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
 # ---------------------------------------------------------------------------
 # the same oracle on rational grid values with mixed denominators
 

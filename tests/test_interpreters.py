@@ -17,9 +17,11 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src"
 
-# The eight criterion-5 configurations and opial-25 at 60 trials, and the nine
-# identity suites at 20 trials with the (got, want) pairs of each trial, so every
-# pointwise float bit is compared, on both backends at seed 42.
+# The eight criterion-5 configurations and opial-25 at 60 trials with the report
+# of each of the first 20 trials (lhs, rhs and every component: theta,
+# kernel_factor, caputo_norm, ...), and the nine identity suites at 20 trials with
+# the (got, want) pairs of each trial, so every float bit of the reports and of
+# the pointwise pairs is compared, on both backends at seed 42.
 SCRIPT = textwrap.dedent(
     """
     import hashlib
@@ -29,10 +31,11 @@ SCRIPT = textwrap.dedent(
         IDENTITY_SUITE_NAMES,
         mix_seed,
         replay_identity_trial,
+        replay_inequality_trial,
         run_identity_suite,
         run_inequality_suite,
     )
-    from nablafrac.gridio import suite_to_dict, to_json
+    from nablafrac.gridio import report_to_dict, suite_to_dict, to_json
 
     INEQUALITIES = (
         ("opial", {"g_variant": "paper"}),
@@ -53,6 +56,9 @@ SCRIPT = textwrap.dedent(
             for name, params in INEQUALITIES:
                 result = run_inequality_suite(name, 60, 42, backend, **params)
                 digest.update(to_json(suite_to_dict(result)).encode())
+                for index in range(20):
+                    report = replay_inequality_trial(name, mix_seed(42, index), backend, **params)
+                    digest.update(to_json(report_to_dict(report)).encode())
             for name in IDENTITY_SUITE_NAMES:
                 result = run_identity_suite(name, 20, 42, backend)
                 digest.update(to_json(suite_to_dict(result)).encode())

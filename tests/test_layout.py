@@ -133,27 +133,56 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
+def _inside(tree, name):
+    """The ids of every node inside the functions called ``name`` in ``tree``."""
+    return {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for inner in ast.walk(node)
+    }
+
+
+def _adds_products(node):
+    """A ``for`` over ``zip(...)`` whose body adds products: ``s += x * y``."""
+    if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Call) and _name(node.iter.func) == "zip"):
+        return False
+    return any(
+        isinstance(inner, ast.AugAssign)
+        and isinstance(inner.op, ast.Add)
+        and isinstance(inner.value, ast.BinOp)
+        and isinstance(inner.value.op, ast.Mult)
+        for statement in node.body
+        for inner in ast.walk(statement)
+    )
+
+
 def test_one_convolution_implementation():
     # every fractional sum, Caputo difference and Taylor remainder is one
-    # fracops._convolve call: the dot idiom map(mul, reversed(...), ...) lives there only
-    offenders = []
+    # fracops._convolve call: the dot idioms, map(mul, reversed(...), ...) and a
+    # loop over zip(...) adding products, live there only; the float binomial
+    # sum of grid._scaled_differences is the one other loop of that shape
+    offenders, loops_seen = [], set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        allowed = set()
-        if path.name == "fracops.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_convolve":
-                    allowed.update(id(inner) for inner in ast.walk(node))
+        convolve = _inside(tree, "_convolve") if path.name == "fracops.py" else set()
+        loops = convolve | (_inside(tree, "_scaled_differences") if path.name == "grid.py" else set())
         for node in ast.walk(tree):
+            if _adds_products(node):
+                if id(node) in loops:
+                    loops_seen.add(path.name)
+                else:
+                    offenders.append(f"{path.name}:{node.lineno} adds products in a loop outside fracops._convolve")
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map"):
                 continue
             if len(node.args) < 2 or _name(node.args[0]) != "mul":
                 continue
             head = node.args[1]
             if isinstance(head, ast.Call) and _name(head.func) == "reversed":
-                if id(node) not in allowed:
+                if id(node) not in convolve:
                     offenders.append(f"{path.name}:{node.lineno} convolves outside fracops._convolve")
     assert offenders == []
+    assert loops_seen == {"fracops.py", "grid.py"}  # the loop shape this test looks for is the one in use
 
 
 def test_no_instance_fields_written_through_the_dict():
