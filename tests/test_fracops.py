@@ -9,6 +9,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import float_difference, naive_grid, naive_nabla, naive_sum, product_row, product_weight
 
 from nablafrac import (
     Backend,
@@ -259,20 +260,6 @@ class TestCompositionLaws:
 # characterisation: every convolution against a naive reference sum
 
 
-def product_weight(nu, n):
-    """``w_ν(n) = ∏_{j=1}^{n−1}(p+q(j−1)) / (q^{n−1}(n−1)!)`` for ν = p/q."""
-    p, q = nu.numerator, nu.denominator
-    num = 1
-    for j in range(1, n):
-        num *= p + q * (j - 1)
-    return Fraction(num, q ** (n - 1) * math.factorial(n - 1))
-
-
-def naive_sum(nu, values, k):
-    """Exact ``Σ_{i=0}^{k} w_ν(k−i+1)·values[i]`` with product-form weights."""
-    return sum((product_weight(nu, k - i + 1) * values[i] for i in range(k + 1)), Fraction(0))
-
-
 def ascending_float_sum(nu, values, k, acc=0.0):
     """The same sum on floats, accumulated in ascending ``i`` from ``acc``."""
     w = kernel_weights(nu, k + 1, Backend.FLOAT)
@@ -427,14 +414,6 @@ EDGE_GRIDS = (
 )
 
 
-def float_difference(values, i, m):
-    """``∇^m`` at index ``i`` on floats: ``0.0 + Σ_j (−1)^j C(m,j)·values[i−j]`` in ascending j."""
-    acc = 0.0
-    for j in range(m + 1):
-        acc += (-1) ** j * math.comb(m, j) * values[i - j]
-    return acc
-
-
 class TestFloatEdgeValues:
     """Float grid sums and Caputo differences on fixed grids of edge values against
     the ascending loop, by ``repr`` of every output: ``==`` does not see the sign of
@@ -544,26 +523,6 @@ class TestKernelCache:
 
 PACKED_BITS = 32  # the widest value numerator that is still read 8 to a dot product
 BOUNDARY_LENGTHS = (7, 8, 9, 15, 16, 17, 23, 24, 25, 400)
-
-
-def product_row(nu, n):
-    """``w_ν(1..n)`` from the product form, one running product each."""
-    p, q = nu.numerator, nu.denominator
-    num, den, row = 1, 1, [Fraction(1)]
-    for j in range(1, n):
-        num, den = num * (p + q * (j - 1)), den * q * j
-        row.append(Fraction(num, den))
-    return row
-
-
-def naive_grid(nu, values):
-    """Every ``Σ_{i=0}^{k} w_ν(k−i+1)·values[i]``, term by term in ``Fraction``s
-    (zero terms skipped)."""
-    w = product_row(nu, len(values))
-    nonzero = [i for i, x in enumerate(values) if x]
-    return tuple(
-        sum((w[k - i] * values[i] for i in nonzero if i <= k), Fraction(0)) for k in range(len(values))
-    )
 
 
 def boundary_grids(n, dense=True):
@@ -689,6 +648,24 @@ class TestKernelRowGrowth:
         assert kernel_weights(nu, 300) == tuple(product_row(nu, 300))
 
 
+# each row order at its longest row in TestPackedBoundaries, TestKernelRowGrowth and, in
+# test_taylor.py, TestLongExactRemainderOracle and TestRemainderSharpness
+ORACLE_ROWS = [
+    *((Fraction(p, q), 300) for q in range(1, 9) for p in (1, q + 1, 3 * q, 5 * q - 1)),
+    *((Fraction(p, q), 120) for q in range(2, 9) for p in range(1, 3 * q)),
+    *((Fraction(p, q), q + 1) for q in (53, 61) for p in (1, q - 1, 2 * q - 1)),
+    *((Fraction(p, q), 200) for p, q in ((1, 2), (1, 3), (3, 4), (3, 5))),
+    *((Fraction(p, 7), 41) for p in (3, 4, 6, 11, 15, 18)),
+    (Fraction(3, 2), 31), (Fraction(101, 37), 300), (Fraction(1, 3), 400), (Fraction(2, 3), 400),
+]
+
+
+def test_the_running_product_row_is_the_per_n_product_form():
+    # a shorter row of the running product is a prefix of the longer one
+    for nu, n in ORACLE_ROWS:
+        assert product_row(nu, n) == [product_weight(nu, k) for k in range(1, n + 1)], (nu, n)
+
+
 class TestScaledGridMemo:
     """An exact grid is scaled once, on its first read, over the whole grid's
     denominator.  Every window must read the same values whatever was read
@@ -706,14 +683,6 @@ class TestScaledGridMemo:
     def grid(self):
         return GridFunction(self.A, self.VALUES)
 
-    @staticmethod
-    def binomial_differences(values, m):
-        """``∇^m`` at each point with ``m`` points before it, as binomial sums."""
-        return [
-            sum((-1) ** j * math.comb(m, j) * Fraction(values[s - j]) for j in range(m + 1))
-            for s in range(m, len(values))
-        ]
-
     def test_pointwise_sums_match_the_product_form_in_ascending_reads(self):
         values = [Fraction(v) for v in self.VALUES]
         for nu in self.ORDERS:
@@ -729,7 +698,7 @@ class TestScaledGridMemo:
         for mu in self.CAPUTO_ORDERS:
             m = math.ceil(mu)
             a = self.A + m
-            h = self.binomial_differences(self.VALUES, m)
+            h = [naive_nabla(self.grid(), s, m) for s in range(a, self.A + len(self.VALUES))]
             f = self.grid()
             for k in range(len(h)):
                 want = naive_sum(m - mu, h, k)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import lsum, naive_caputo, naive_nabla, product_weight, raw_caputo, raw_rising
 
 from nablafrac import (
     Backend,
@@ -588,24 +589,6 @@ class TestFloatRange:
         assert ostrowski_report(self.big_grid(10**200), 0, 10, FIVE_HALVES, 0).holds
 
 
-def raw_rising(n, alpha):
-    """Independent raw rising power via log-gamma (float oracle)."""
-    if n == 0:
-        return 0.0
-    return math.exp(math.lgamma(n + alpha) - math.lgamma(n))
-
-
-def raw_caputo(f, a, mu, tau):
-    """Caputo-like difference from the raw kernel with an explicit 1/gamma."""
-    m = math.ceil(mu)
-    nu = m - mu
-    total = 0.0
-    for s in range(a, tau + 1):
-        dm = sum((-1) ** i * math.comb(m, i) * float(f.at(s - i)) for i in range(m + 1))
-        total += raw_rising(tau - s + 1, nu - 1.0) * dm
-    return total / math.gamma(nu)
-
-
 class TestRawFormulaOracle:
     """The normalized-kernel implementation against independent brute-force
     float evaluations of the raw formula shapes (raw rising-power kernels,
@@ -773,10 +756,6 @@ def float_weights(rng, lo, hi, zero_ok=False):
     return GridFunction(lo, tuple(vals)).as_float()
 
 
-def root(x, e):
-    return float("nan") if x < 0 else x ** (1.0 / e)
-
-
 class TestFloatOrder:
     """Float reports equal plain ascending loops from ``0.0``, bit for bit:
     every sum in the evaluators adds left to right, on every Python version."""
@@ -813,7 +792,7 @@ class TestFloatOrder:
             k_pow = 0.0
             for tp, s in zip(range(a + m, t + 1), theta_pow):
                 k_pow += (D.at(tp) / C.at(tp)) ** ge * s
-            k_factor = root(k_pow, ge)
+            k_factor = naive_root(k_pow, ge)
             lhs = 0.0
             for tp in range(a + m, t + 1):
                 lhs += D.at(tp) * abs(nabla(f, tp, p)) * abs(cap.at(tp))
@@ -821,10 +800,10 @@ class TestFloatOrder:
 
             norm = math.gamma(float(mu - p))
             assert report.components["g"] == g
-            assert report.components["theta"] == [root(s, ge) * norm for s in theta_pow]
+            assert report.components["theta"] == [naive_root(s, ge) * norm for s in theta_pow]
             assert report.components["k_factor"] == k_factor
             assert report.lhs == lhs
-            assert report.rhs == k_factor * root(chosen, de)
+            assert report.rhs == k_factor * naive_root(chosen, de)
 
     def test_sobolev_r3(self):
         rng = random.Random(13)
@@ -853,8 +832,8 @@ class TestFloatOrder:
 
             assert report.components["kernel_factor"] == kernel
             assert report.components["caputo_norm"] == cap_norm
-            assert report.lhs == root(lhs_pow, 3.0)
-            assert report.rhs == root(kernel, 3.0) * root(cap_norm, 2.0)
+            assert report.lhs == naive_root(lhs_pow, 3.0)
+            assert report.rhs == naive_root(kernel, 3.0) * naive_root(cap_norm, 2.0)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_avg_sobolev_three_orders(self, r):
@@ -889,15 +868,7 @@ class TestFloatOrder:
             rhs_sq = max(candidates) * rho_star * (total / len(orders))
 
             assert report.components["b_terms"] == b_terms
-            assert report.rhs == root(rhs_sq, 2.0)
-
-
-def product_weight(nu, n):
-    """``w_ν(n) = ∏_{j=1}^{n−1}(p+q(j−1)) / (q^{n−1}(n−1)!)`` for ν = p/q."""
-    num = 1
-    for j in range(1, n):
-        num *= nu.numerator + nu.denominator * (j - 1)
-    return Fraction(num, nu.denominator ** (n - 1) * math.factorial(n - 1))
+            assert report.rhs == naive_root(rhs_sq, 2.0)
 
 
 class TestKernelPowerSumOracle:
@@ -938,31 +909,6 @@ class TestKernelPowerSumOracle:
         assert poincare.rhs / caputo_norm == kernel
         sobolev = sobolev_report(f, a, b, mu, p, 2, 2, 2)
         assert sobolev.components["rhs_squared"] / caputo_norm == kernel
-
-
-def lsum(terms, start=None):
-    """Left-to-right sum from ``start`` (default: the first term)."""
-    terms = list(terms)
-    acc = terms.pop(0) if start is None else start
-    for x in terms:
-        acc += x
-    return acc
-
-
-def naive_nabla(f, s, k):
-    return lsum((-1) ** j * math.comb(k, j) * f.at(s - j) for j in range(k + 1))
-
-
-def naive_caputo(f, lo, mu, hi):
-    """``{τ: Σ_{s=lo}^{τ} w_{m−μ}(τ−s+1)·∇^m f(s)}`` term by term in Fractions."""
-    m = math.ceil(mu)
-    return {
-        tau: lsum(
-            (product_weight(m - mu, tau - s + 1) * naive_nabla(f, s, m) for s in range(lo, tau + 1)),
-            Fraction(0),
-        )
-        for tau in range(lo, hi + 1)
-    }
 
 
 def naive_power(x, e):

@@ -11,9 +11,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nablafrac"
 
 
-def test_library_imports_only_the_standard_library():
-    modules = sorted(SOURCE.glob("*.py"))
-    assert modules, f"no modules found under {SOURCE}"
+def _non_standard_imports(modules):
     offenders = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -27,7 +25,18 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     offenders.append(f"{path.name}:{node.lineno} imports {name}")
-    assert offenders == []
+    return offenders
+
+
+def test_library_imports_only_the_standard_library():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules, f"no modules found under {SOURCE}"
+    assert _non_standard_imports(modules) == []
+
+
+def test_oracles_import_only_the_standard_library():
+    # independent of the library it checks and of the runner: no nablafrac, pytest or hypothesis
+    assert _non_standard_imports([Path(__file__).with_name("oracles.py")]) == []
 
 
 def test_suites_and_cli_carry_no_verdict_rule():

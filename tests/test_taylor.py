@@ -1,11 +1,11 @@
 """Taylor representation, closed-form kernel sum, remainder bound, and
 construction round-trip tests."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import naive_nabla, product_row
 
 from nablafrac import (
     DomainError,
@@ -336,23 +336,6 @@ class TestGammaShiftIdentity:
         assert (q2 - q3) / (k + 1) == q1
 
 
-def product_weight_row(nu, length):
-    """``w_ν(1..length)`` from the product form ``∏_{j=1}^{n−1}(p+q(j−1)) / (q^{n−1}(n−1)!)``."""
-    p, q = nu.numerator, nu.denominator
-    row, num, den = [], 1, 1
-    for n in range(1, length + 1):
-        if n > 1:
-            num *= p + q * (n - 2)
-            den *= q * (n - 1)
-        row.append(Fraction(num, den))
-    return row
-
-
-def binomial_difference(f, t, k):
-    """``∇^k f(t) = Σ_j (−1)^j C(k, j) f(t−j)``."""
-    return sum((-1) ** j * math.comb(k, j) * f.at(t - j) for j in range(k + 1))
-
-
 class TestLongExactRemainderOracle:
     """Whole exact series against product-form weights and binomial differences in
     plain ``Fraction`` arithmetic: on grids of 120 points for order denominators
@@ -363,21 +346,21 @@ class TestLongExactRemainderOracle:
     def check(f, a, mu, t_max):
         m = mu.numerator // mu.denominator + 1
         n_max = t_max - a
-        h = [binomial_difference(f, s, m) for s in range(a + 1, t_max + 1)]
-        wc = product_weight_row(m - mu, n_max)
+        h = [naive_nabla(f, s, m) for s in range(a + 1, t_max + 1)]
+        wc = product_row(m - mu, n_max)
         cap = [sum(wc[i - j] * h[j] for j in range(i + 1)) for i in range(n_max)]
-        initials = [binomial_difference(f, a, k) for k in range(m)]
+        initials = [naive_nabla(f, a, k) for k in range(m)]
         for p in sorted({0, m - 1}):
-            wr = product_weight_row(mu - p, n_max)
+            wr = product_row(mu - p, n_max)
             series = taylor_extended_series(f, a, mu, p, t_max) if p else taylor_fractional_series(f, a, mu, t_max)
             assert sorted(series) == list(range(a + m, t_max + 1))
             for t, expansion in series.items():
                 n = t - a
                 rem = sum(wr[n - 1 - i] * cap[i] for i in range(n))
-                poly = sum(product_weight_row(Fraction(k - p + 1), n)[-1] * initials[k] for k in range(p, m))
+                poly = sum(product_row(Fraction(k - p + 1), n)[-1] * initials[k] for k in range(p, m))
                 assert expansion.remainder == rem, (mu, p, t)
                 assert expansion.poly_part == poly, (mu, p, t)
-                assert expansion.total == binomial_difference(f, t, p), (mu, p, t)
+                assert expansion.total == naive_nabla(f, t, p), (mu, p, t)
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_long_series(self, q):
@@ -431,7 +414,7 @@ class TestRemainderSharpness:
     def extremal(self, a, mu):
         m = mu.numerator // mu.denominator + 1
         initial = tuple(Fraction(k - 2, k + 1) for k in range(m))  # they cancel out of lhs
-        h = product_weight_row(mu - m + 1, self.N)
+        h = product_row(mu - m + 1, self.N)
         return construct_from_taylor_data(TaylorSeed(a=a, m=m, initial=initial, h=h))
 
     @pytest.mark.parametrize("mu, p", CASES)
