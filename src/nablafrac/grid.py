@@ -183,19 +183,18 @@ def _scaled_differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:
     """Scaled ``∇^m f`` on ``[lo, hi]``, a window the caller has checked: m rounds
     of integer first differences of the window of exact ``f``'s scaled form (a slice
     over the whole grid's denominator; m = 0: the slice itself), or at each point
-    the float binomial sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j`` (m = 0: the
-    value slice).  The first exact read scales the whole grid, once per grid."""
+    the float binomial sum ``0.0 ± C(m,j)·f(s−j)`` in ascending ``j``, added one
+    column ``j`` at a time over the whole window (m = 0: the value slice).  The
+    first exact read scales the whole grid, once per grid."""
     start, stop = lo - m - f.lo, hi + 1 - f.lo
     if f.backend is Backend.FLOAT:
         vs = f.values[start:stop]
         if m == 0:
             return vs, 1.0
-        cs, out = [(-1) ** j * math.comb(m, j) for j in range(m + 1)], []
-        for i in range(m, len(vs)):
-            s = 0.0
-            for c, x in zip(cs, reversed(vs[i - m : i + 1])):
-                s += c * x
-            out.append(s)
+        out = [0.0] * (len(vs) - m)
+        for j in range(m + 1):
+            c = (-1) ** j * math.comb(m, j)
+            out = [s + c * x for s, x in zip(out, vs[m - j :])]
         return tuple(out), 1.0
     if f._scaled_form is None:
         nums, d = _scaled(f.values)

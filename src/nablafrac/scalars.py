@@ -22,6 +22,7 @@ import enum
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -108,7 +109,8 @@ class TolerancePolicy:
         for name, value in (("rel_eps", self.rel_eps), ("abs_eps", self.abs_eps)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
-            if not 0.0 < value < math.inf:  # a NaN bound fails this too
+            # exact comparisons: NaN, a bound beyond the doubles and one that rounds to 0.0 all fail
+            if not (0.0 < value <= sys.float_info.max and float(value) > 0.0):
                 raise ParameterError(f"{name} must be finite and strictly positive, got {value!r}")
 
 

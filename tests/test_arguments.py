@@ -230,6 +230,10 @@ def test_floats_and_booleans_are_typed_errors(name):
         (lambda: TolerancePolicy(abs_eps=math.nan), ParameterError, "abs_eps must be finite and strictly positive, got nan"),
         (lambda: TolerancePolicy(rel_eps=0.0), ParameterError, "rel_eps must be finite and strictly positive, got 0.0"),
         (lambda: TolerancePolicy(abs_eps=-1), ParameterError, "abs_eps must be finite and strictly positive, got -1"),
+        # as doubles: beyond their range, or so small that it rounds to 0.0
+        (lambda: TolerancePolicy(rel_eps=10**400), ParameterError, f"rel_eps must be finite and strictly positive, got {10**400}"),
+        (lambda: TolerancePolicy(abs_eps=Fraction(1, 10**400)), ParameterError,
+         f"abs_eps must be finite and strictly positive, got {Fraction(1, 10**400)!r}"),
     ],
 )
 def test_one_message_form(call, error, message):

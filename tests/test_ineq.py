@@ -379,6 +379,20 @@ class TestPoincare:
             report = poincare_report(f, a, b, mu, p)
             assert report.components["exact_holds"] == 1
 
+    @pytest.mark.parametrize("k, lhs", [(0, 6), (1, 199), (2, 2882)])
+    def test_each_vanishing_initial_difference_is_needed(self, k, lhs):
+        # ∇^k f(a) = 1, the other initials 0 and ∇³f ≡ 0: a polynomial whose Caputo
+        # difference vanishes, so the raw bound reads rhs = 0 < lhs and the report must refuse f
+        a, b, mu = 0, 8, 2.5
+        seed = TaylorSeed(a=a, m=3, initial=tuple(int(j == k) for j in range(3)), h=(0,) * (b - a))
+        f = construct_from_taylor_data(seed)
+        with pytest.raises(BoundaryConditionError, match=f"the k={k} backward difference at {a} to vanish"):
+            poincare_report(f, a, b, FIVE_HALVES, 0)
+        raw_lhs = lsum(naive_nabla(f, j, 0) ** 2 for j in range(a + 3, b + 1))
+        kernel = sum(sum(raw_rising(j - tau + 1, mu - 1.0) ** 2 for tau in range(a + 1, j + 1)) for j in range(a + 3, b + 1))
+        cap_norm = sum(raw_caputo(f, a + 1, mu, tau) ** 2 for tau in range(a + 1, b + 1))
+        assert raw_lhs == lhs and kernel * cap_norm / math.gamma(mu) ** 2 == 0 < raw_lhs
+
 
 class TestSobolev:
     def test_zero_function(self):

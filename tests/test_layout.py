@@ -169,16 +169,14 @@ def _adds_products(node):
 def test_one_convolution_implementation():
     # every fractional sum, Caputo difference and Taylor remainder is one
     # fracops._convolve call: the dot idioms, map(mul, reversed(...), ...) and a
-    # loop over zip(...) adding products, live there only; the float binomial
-    # sum of grid._scaled_differences is the one other loop of that shape
+    # loop over zip(...) adding products, live there only
     offenders, loops_seen = [], set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         convolve = _inside(tree, "_convolve") if path.name == "fracops.py" else set()
-        loops = convolve | (_inside(tree, "_scaled_differences") if path.name == "grid.py" else set())
         for node in ast.walk(tree):
             if _adds_products(node):
-                if id(node) in loops:
+                if id(node) in convolve:
                     loops_seen.add(path.name)
                 else:
                     offenders.append(f"{path.name}:{node.lineno} adds products in a loop outside fracops._convolve")
@@ -191,7 +189,7 @@ def test_one_convolution_implementation():
                 if id(node) not in convolve:
                     offenders.append(f"{path.name}:{node.lineno} convolves outside fracops._convolve")
     assert offenders == []
-    assert loops_seen == {"fracops.py", "grid.py"}  # the loop shape this test looks for is the one in use
+    assert loops_seen == {"fracops.py"}  # the loop shape this test looks for is the one in use
 
 
 def test_no_instance_fields_written_through_the_dict():
