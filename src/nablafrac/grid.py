@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, OrderError, ParameterError
 from .scalars import Backend, Scalar, _backend, _cast, _integer, backend_of, falling_factorial, rising_factorial
@@ -177,6 +177,15 @@ def _scalar(num, d) -> Scalar:
 def _unscaled(nums: Sequence, d) -> tuple:
     """The scalars of a scaled sequence, one ``_scalar`` each."""
     return tuple(nums) if isinstance(d, float) else tuple(Fraction(x, d) for x in nums)
+
+
+def _added(xs: Iterable):
+    """``xs`` added left to right from 0 in a loop the interpreter specialises: every sum
+    outside ``fracops._convolve`` and the float ``∇^m`` columns (an empty one is 0)."""
+    s = 0
+    for x in xs:
+        s += x
+    return s
 
 
 def _scaled_differences(f: GridFunction, lo: int, m: int, hi: int) -> tuple:

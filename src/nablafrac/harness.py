@@ -17,12 +17,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
 from typing import Callable, Dict, List, Tuple
 
 from .errors import ParameterError, UsageError
 from .fracops import _order, delta_frac_sum, frac_sum_grid, kernel_weights
-from .grid import GridFunction, _differences
+from .grid import GridFunction, _added, _differences
 from .ineq import (
     InequalityReport,
     OpialParams,
@@ -49,6 +48,7 @@ from .scalars import (
 )
 from .taylor import (
     TaylorSeed,
+    _check_base_shift,
     construct_from_taylor_data,
     kernel_sum_closed_form,
     sum_rising_closed_form,
@@ -305,7 +305,7 @@ def _trial_kernel_closed_form(rng: random.Random, backend: Backend) -> List[Pair
     mu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
     n = rng.randint(1, 50)
     closed = kernel_sum_closed_form(a, mu, a + n, backend)
-    direct = reduce(add, kernel_weights(mu, n, backend))
+    direct = _added(kernel_weights(mu, n, backend))
     return [(closed, direct)]
 
 
@@ -316,7 +316,7 @@ def _trial_rising_sum(rng: random.Random, backend: Backend) -> List[Pair]:
     nu = _draw_fraction(rng, Fraction(0), Fraction(3), non_integer=True)
     closed = sum_rising_closed_form(a, m, b, nu, backend)
     # w(j−a) for j = a+m+1 .. b
-    direct = reduce(add, kernel_weights(nu + 1, b - a, backend)[m:])
+    direct = _added(kernel_weights(nu + 1, b - a, backend)[m:])
     return [(closed, direct)]
 
 
@@ -390,14 +390,27 @@ def _draw_weight(rng: random.Random, allow_zero: bool = False) -> Fraction:
     return Fraction(num, den)
 
 
+def _given(value, draw: Callable[[], object]):
+    """A suite option's given ``value``, else ``draw()``: the one "given, else drawn" rule.
+    A given value takes the draw's place and draws nothing; with none, every draw is the suite's."""
+    return draw() if value is None else value
+
+
+def _trial_order(rng: random.Random, opts: dict, lo: int, hi: int) -> Fraction:
+    """The given ``mu``, else a non-integer order drawn from ``(lo, hi)``, or from ``(p, hi)``
+    under a given shift ``p > lo``; a given p the order cannot exceed is an ``OrderError``."""
+    p, mu = opts.get("p"), opts.get("mu")
+    if p is not None:  # checked before any draw, against hi when the order is drawn
+        _check_base_shift(0, hi if mu is None else _order(mu), p)
+        lo = max(lo, p)
+    return _order(_given(mu, lambda: _draw_fraction(rng, Fraction(lo), Fraction(hi), non_integer=True)))
+
+
 def _trial_opial(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-    mu = _order(opts["mu"]) if opts.get("mu") else _draw_fraction(
-        rng, Fraction(2), Fraction(3), non_integer=True
-    )
+    mu = _trial_order(rng, opts, 2, 3)
     m = math.ceil(mu)
     a = rng.randint(0, 3)
-    p_cap = min(2, m - 1)
-    p = rng.randint(0, p_cap)
+    p = _given(opts.get("p"), lambda: rng.randint(0, min(2, m - 1)))
     t = a + m + rng.randint(0, 12)
     f = _maybe_float_grid(_spec_function(rng, a, m, t, k0=p), backend)
     inner = GridFunction._of(a + 1, tuple(_draw_weight(rng) for _ in range(a + 1, t + 1)))
@@ -418,13 +431,9 @@ def _trial_shifted(name: str, zero_initials_from: Callable[[int, int], int]) -> 
     at the base.  The draw order is fixed so trial seeds reproduce."""
 
     def trial(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-        mu = _order(opts["mu"]) if opts.get("mu") else _draw_fraction(
-            rng, Fraction(0), Fraction(4), non_integer=True
-        )
+        mu = _trial_order(rng, opts, 0, 4)
         m = math.ceil(mu)
-        p = opts.get("p")
-        if p is None:
-            p = rng.randint(0, m - 1)
+        p = _given(opts.get("p"), lambda: rng.randint(0, m - 1))
         a = rng.randint(0, 3)
         b = a + m + 1 + rng.randint(0, 11)
         f = _maybe_float_grid(_spec_function(rng, a, m, b, k0=zero_initials_from(p, m)), backend)
@@ -434,10 +443,10 @@ def _trial_shifted(name: str, zero_initials_from: Callable[[int, int], int]) -> 
 
 
 def _trial_avg_sobolev(rng: random.Random, backend: Backend, opts: dict, policy) -> InequalityReport:
-    if opts.get("mu_list"):
-        orders = [_order(o) for o in opts["mu_list"]]
-    else:
-        orders = [_draw_fraction(rng, Fraction(lo), Fraction(lo + 1), non_integer=True) for lo in (1, 2)]
+    mu = opts.get("mu")  # a given mu is the one order [mu], as `ineq avg-sobolev --input` reads it
+    orders = _given(opts.get("mu_list", None if mu is None else [mu]), lambda: [
+        _draw_fraction(rng, Fraction(lo), Fraction(lo + 1), non_integer=True) for lo in (1, 2)])
+    orders = list(map(_order, orders))
     m_top = math.ceil(orders[-1])
     a = rng.randint(0, 3)
     b = a + m_top + 1 + rng.randint(0, 9)

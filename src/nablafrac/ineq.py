@@ -7,9 +7,9 @@ right-hand sides, the slack ``rhs − lhs``, and every intermediate component.
 Both backends share one arithmetic path over the scaled form of :mod:`grid`: exact
 sums and integral powers run on integer numerators, each value a report shows is one
 ``Fraction``, and fractional powers and roots are floats of the ``float()``-rounded rationals.
-Every multi-term sum adds left to right in ascending index order (a plain
-loop, ``reduce`` or ``accumulate``, never the builtin ``sum``, whose float
-algorithm changed in Python 3.12), so float results do not depend on the interpreter.
+Every multi-term sum adds left to right from 0 in ``grid._added`` or ``_convolve``
+(running sums in ``accumulate``), never in the builtin ``sum``, whose float
+algorithm changed in Python 3.12, so float results do not depend on the interpreter.
 Whenever the exponent combination keeps both sides rational (``gamma = delta
 = 2``, and ``r = 2`` where an outer root appears), the report additionally
 carries exact squared certificates computed in big rationals.
@@ -24,14 +24,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce, wraps
+from functools import wraps
 from itertools import accumulate, repeat
-from operator import add, mul, truediv
+from operator import mul, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BoundaryConditionError, DomainError, ParameterError
 from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _order, _scaled_kernel
-from .grid import GridFunction, _initial_column, _scalar, _scaled, _scaled_differences, nabla
+from .grid import GridFunction, _added, _initial_column, _scalar, _scaled, _scaled_differences, nabla
 from .scalars import (
     Backend,
     DEFAULT_TOLERANCE,
@@ -90,19 +90,9 @@ def _powers(nums: Iterable, d, e: Exponent) -> tuple:
     return map(pow, xs, repeat(k if integral else float(e))), 1.0  # a float to a Fraction e is to float(e)
 
 
-def _added(xs: Iterable):
-    """The terms of a non-empty ``xs`` added left to right from the first, as
-    ``reduce(add, xs)`` adds them, in a loop the interpreter specialises."""
-    xs = iter(xs)
-    s = next(xs)
-    for x in xs:
-        s += x
-    return s
-
-
 def _power_sum(nums: Sequence, d, e: Exponent) -> Scalar:
-    """``Σ (x/d)^e`` over a non-empty scaled sequence, added left to right from the
-    first term: a ``Fraction`` for exact values and an integral ``e``, else a float."""
+    """``Σ (x/d)^e`` over a scaled sequence, added left to right from 0: a
+    ``Fraction`` for exact values and an integral ``e``, else a float."""
     powers, dp = _powers(nums, d, e)
     return _scalar(_added(powers), dp)
 
@@ -334,11 +324,11 @@ def opial_report(
         wd, cd, dtheta = [x * dcs for x in wn], [dw * y for y in cs], 1.0
         theta = [_added(_powers(map(truediv, wd[k::-1], cd), 1.0, gamma)[0]) for k in range(m - 1, t - a)]
         kp, dk = _powers(map(truediv, [x * dcs for x in ds], [dd * y for y in cs[m - 1 :]]), 1.0, gamma)
-    k_pow = _scalar(reduce(add, map(mul, kp, theta), 0), dk * dtheta)
+    k_pow = _scalar(_added(map(mul, kp, theta)), dk * dtheta)
     k_factor = _root(k_pow, gamma)
     pn, dp = _scaled_differences(f, a + m, p, t)
     lhs_terms = (x * abs(v) * abs(y) for x, v, y in zip(ds, pn, cn[m - 1 :]))
-    lhs = _scalar(reduce(add, lhs_terms, 0), dd * dp * dc)
+    lhs = _scalar(_added(lhs_terms), dd * dp * dc)
 
     bound_paper, bound_tight = _g_bounds(*(_scalar(g_nums[i], dg) for i in (-1, -2, m - 2, m - 3)))
     chosen = bound_paper if g_variant == "paper" else bound_tight
@@ -396,7 +386,7 @@ def ostrowski_report(
 
     count = b - a - m
     pn, dp = _scaled_differences(f, a + m + 1, p, b)
-    average = _scalar(reduce(add, pn, 0), dp) / count
+    average = _scalar(_added(pn), dp) / count
     base_value = nabla(f, a, p)
     lhs = abs(average - base_value)
 
@@ -548,7 +538,7 @@ def avg_sobolev_report(
     b_terms: List[Scalar] = []
     for order, c in zip(orders, weights):
         (cn, dc), (cs, dcs) = _caputo(f, a + 1, order, b), _scaled(c)
-        b_terms.append(_scalar(reduce(add, (x * v * v for x, v in zip(cs, cn)), 0), dcs * dc * dc))
+        b_terms.append(_scalar(_added(x * v * v for x, v in zip(cs, cn)), dcs * dc * dc))
 
     kernel_sums = (_kernel_power_sums(o, a, math.ceil(o), b, two, r / two, f.backend) for o in orders)
     delta_star = max((_power_sum(*_scaled([x]), two / r) for x in kernel_sums), key=to_float)
@@ -558,7 +548,7 @@ def avg_sobolev_report(
     lhs_pow = _power_sum(map(abs, f_nums), df, r)
     lhs = _root(lhs_pow, r)
 
-    mean_b = reduce(add, b_terms) / k
+    mean_b = _added(b_terms) / k
     rhs_sq = delta_star * rho_star * mean_b
     rhs = _root(rhs_sq, two)
 

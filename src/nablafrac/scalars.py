@@ -125,7 +125,10 @@ def scalar_close(x: Scalar, y: Scalar, policy: TolerancePolicy = DEFAULT_TOLERAN
     """
     if backend_of(x) is Backend.EXACT and backend_of(y) is Backend.EXACT:
         return x == y
-    xf, yf = float(x), float(y)
+    try:
+        xf, yf = float(x), float(y)
+    except OverflowError:  # an exact value beyond the double range is finite and far from every float
+        return False
     if math.isnan(xf) or math.isnan(yf):
         return False
     if math.isinf(xf) or math.isinf(yf):

@@ -11,15 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 from typing import Dict, Sequence, Tuple, Union
 
 from .errors import EmptyRangeError, OrderError, ParameterError, WindowError
 from .fracops import FractionalOrder, OrderInput, _caputo, _convolve, _order, _remainders, _scaled_kernel
 from .grid import (
     GridFunction,
+    _added,
     _coerce_values,
     _differences,
     _initial_column,
@@ -69,7 +69,7 @@ def _expand(
     rems = _remainders(order, source, offsets[0], offsets[-1], backend)
     inits, di = _scaled(initials[p:])
     rows = [_scaled_kernel(k + 1, offsets[-1], backend)[0] for k in range(len(inits))]
-    polys = (reduce(add, (row[n - 1] * x for row, x in zip(rows, inits)), 0) for n in offsets)
+    polys = (_added(row[n - 1] * x for row, x in zip(rows, inits)) for n in offsets)
     return [(_scalar(poly, di), rem) for poly, rem in zip(polys, rems)]
 
 
@@ -273,7 +273,7 @@ def eval_from_taylor_data(seed: TaylorSeed, t: int) -> Scalar:
     values, d = _scaled(seed.initial + seed.h)
     # the order-m remainder kernel is the row of the last polynomial term
     rows = [_scaled_kernel(k + 1, n, seed.backend)[0] for k in range(m)]
-    poly = reduce(add, (row[n - 1] * x for row, x in zip(rows, values[:m])), 0)
+    poly = _added(row[n - 1] * x for row, x in zip(rows, values[:m]))
     return _scalar(_convolve(rows[-1], values[m:], n - 1, n - 1, poly)[0], d)
 
 

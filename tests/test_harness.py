@@ -12,6 +12,7 @@ from nablafrac import (
     GridFunction,
     IDENTITY_SUITE_NAMES,
     INEQUALITY_SUITE_NAMES,
+    OrderError,
     ParameterError,
     UsageError,
     WindowError,
@@ -189,6 +190,49 @@ class TestInequalitySuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(UsageError):
             run_inequality_suite("not-a-suite", 5, 42)
+
+
+class TestSuiteOptions:
+    """Each option a suite documents is used, in place of its draw, or refused with a
+    typed error; with no option given every draw is the suite's own (the report digests)."""
+
+    SEEDS = [mix_seed(42, j) for j in range(30)]
+
+    def test_opial_takes_a_given_shift(self):
+        for seed in self.SEEDS:
+            drawn = replay_inequality_trial("opial", seed)
+            given = replay_inequality_trial("opial", seed, p=1)
+            assert given.params["p"] == 1
+            # p is drawn after the order and the base, so those stay the trial's own
+            assert (given.params["mu"], given.params["a"]) == (drawn.params["mu"], drawn.params["a"])
+
+    @pytest.mark.parametrize("name", ["ostrowski", "poincare", "sobolev"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_a_shifted_suite_draws_its_order_above_a_given_shift(self, name, p):
+        for seed in self.SEEDS[:10]:
+            report = replay_inequality_trial(name, seed, p=p)
+            assert report.params["p"] == p and p < Fraction(report.params["mu"]) < 4
+        assert run_inequality_suite(name, 20, 42, p=p).failures == 0
+
+    def test_avg_sobolev_takes_a_given_order_as_its_one_order(self):
+        for seed in self.SEEDS[:10]:
+            assert replay_inequality_trial("avg-sobolev", seed, mu="9/2").params["mu_list"] == ["9/2"]
+        # an order list still wins
+        report = replay_inequality_trial("avg-sobolev", self.SEEDS[0], mu="9/2", mu_list=["3/2", "5/2"])
+        assert report.params["mu_list"] == ["3/2", "5/2"]
+
+    @pytest.mark.parametrize(
+        "name, opts, message",
+        [
+            ("opial", {"p": 3}, "shift p=3 must be smaller than the order 3"),
+            ("opial", {"p": 7}, "shift p=7 must be smaller than the order 3"),
+            ("poincare", {"p": 4}, "shift p=4 must be smaller than the order 4"),
+            ("sobolev", {"p": 4, "mu": "5/2"}, "shift p=4 must be smaller than the order 5/2"),
+        ],
+    )
+    def test_a_shift_no_order_exceeds_is_an_order_error(self, name, opts, message):
+        with pytest.raises(OrderError, match=f"^{message}$"):
+            run_inequality_suite(name, 5, 42, **opts)
 
 
 class TestDeterminism:

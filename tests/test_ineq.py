@@ -56,6 +56,13 @@ def admissible(seed, a, m, b, k0, bound=9):
     )
 
 
+def initial_witness(k, a=0, b=8, m=3):
+    """``∇^k f(a) = 1``, the other initial differences 0 and ``∇^m f ≡ 0`` on ``(a, b]``:
+    a polynomial whose Caputo difference vanishes, so every raw right-hand side is 0."""
+    initial = tuple(int(j == k) for j in range(m))
+    return construct_from_taylor_data(TaylorSeed(a=a, m=m, initial=initial, h=(0,) * (b - a)))
+
+
 def default_opial_params(a, t, mu=FIVE_HALVES, p=0):
     m = 3
     return OpialParams(
@@ -343,6 +350,23 @@ class TestOstrowski:
             assert report.components["exact_holds"] == 1
 
 
+    @pytest.mark.parametrize("p, k", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])
+    def test_each_required_vanishing_initial_difference_is_needed(self, p, k):
+        # ∇^p f(a) cancels in average − base value, so k ≤ p is free; for every k > p the
+        # raw bound on the witness reads rhs = 0 < lhs, and the report must refuse it
+        a, b, mu, m = 0, 8, FIVE_HALVES, 3
+        f, count, tail = initial_witness(k), b - a - m, range(a + m + 1, b + 1)
+        raw_lhs = abs(lsum((naive_nabla(f, j, p) for j in tail), Fraction(0)) / count - naive_nabla(f, a, p))
+        mass = lsum(raw_rising(n, float(mu - p) - 1.0) for j in tail for n in range(1, j - a + 1)) / math.gamma(mu - p)
+        raw_rhs = mass / count * max(abs(raw_caputo(f, a + 1, mu, tau)) for tau in range(a + 1, b + 1))
+        if k <= p:
+            assert ostrowski_report(f, a, b, mu, p).holds and raw_lhs == raw_rhs == 0
+            return
+        with pytest.raises(BoundaryConditionError, match=f"the k={k} backward difference at {a} to vanish"):
+            ostrowski_report(f, a, b, mu, p)
+        assert raw_rhs == 0 < raw_lhs
+
+
 class TestPoincare:
     def test_zero_function(self):
         f = zero_function(-2, 8)
@@ -438,6 +462,25 @@ class TestSobolev:
                 assert float(report.slack) >= -(policy.abs_eps + policy.rel_eps * abs(rhs))
                 if r == 2:
                     assert report.components["exact_holds"] == 1
+
+
+    @pytest.mark.parametrize("p, k", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])
+    def test_each_required_vanishing_initial_difference_is_needed(self, p, k):
+        # r = γ = δ = 2: k < p is free; for every k ≥ p the raw bound on the witness
+        # reads rhs = 0 < lhs, and the report must refuse it
+        a, b, mu, m = 0, 8, FIVE_HALVES, 3
+        f = initial_witness(k)
+        raw_lhs = lsum((naive_nabla(f, j, p) ** 2 for j in range(a + m, b + 1)), Fraction(0))
+        kernel = lsum(
+            lsum(raw_rising(j - tau + 1, float(mu - p) - 1.0) ** 2 for tau in range(a + 1, j + 1)) for j in range(a + m, b + 1)
+        ) / math.gamma(mu - p) ** 2
+        cap_norm = lsum(raw_caputo(f, a + 1, mu, tau) ** 2 for tau in range(a + 1, b + 1))
+        if k < p:
+            assert sobolev_report(f, a, b, mu, p).holds and raw_lhs == kernel * cap_norm == 0
+            return
+        with pytest.raises(BoundaryConditionError, match=f"the k={k} backward difference at {a} to vanish"):
+            sobolev_report(f, a, b, mu, p)
+        assert math.sqrt(kernel) * math.sqrt(cap_norm) == 0 < math.sqrt(raw_lhs)
 
 
 class TestAvgSobolev:

@@ -509,6 +509,26 @@ class TestCli:
         assert payload["failures"] > 0
         assert payload["failing_seeds"]
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["opial", "--p", "7"], 2, "error: shift p=7 must be smaller than the order"),
+            (["poincare", "--p", "1"], 0, ""),
+            (["sobolev", "--p", "2"], 0, ""),
+            (["ostrowski", "--p", "4"], 2, "error: shift p=4 must be smaller than the order"),
+        ],
+    )
+    def test_ineq_suite_uses_or_refuses_a_given_shift(self, capsys, argv, code, err):
+        assert main(["ineq", *argv, "--trials", "30"]) == code
+        assert capsys.readouterr().err.startswith(err)
+
+    def test_ineq_avg_sobolev_suite_takes_a_given_order(self, capsys):
+        # the suite JSON carries no orders, so compare it with the one-order list of the API
+        assert main(["ineq", "avg-sobolev", "--mu", "9/2", "--trials", "10", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        result = run_inequality_suite("avg-sobolev", 10, 42, mu_list=[Fraction(9, 2)])
+        assert payload["worst_slack"] == result.worst_slack
+
     def test_ineq_single_report_from_file(self, tmp_path, capsys):
         # admissible function with zero values at 0, -1, -2
         from nablafrac import FunctionSpec, gen_function

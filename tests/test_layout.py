@@ -75,6 +75,24 @@ def test_no_builtin_or_compensated_sum():
     assert offenders == []
 
 
+def test_one_adder():
+    # every sum outside fracops._convolve and the float ∇^m columns is grid._added,
+    # which starts from 0: reduce(add, ...) (from the first term without a start) and
+    # a second adder would be a second summation rule
+    offenders, adders = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                offenders += [f"{path.name}:{node.lineno} imports operator.add" for a in node.names if a.name == "add"]
+            elif isinstance(node, ast.Call) and _name(node.func) == "reduce" and _name(node.args[0]) == "add":
+                offenders.append(f"{path.name}:{node.lineno} sums with reduce(add, ...)")
+            elif isinstance(node, ast.FunctionDef) and node.name == "_added":
+                adders.append(path.name)
+    assert offenders == []
+    assert adders == ["grid.py"]
+
+
 def test_one_binomial_difference_implementation():
     # every backward difference, forward difference and Taylor construction
     # goes through grid._differences, so binomial coefficients appear there only

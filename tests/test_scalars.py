@@ -293,6 +293,13 @@ class TestScalarClose:
         assert not scalar_close(math.inf, -math.inf)
         assert not scalar_close(math.inf, 1e308)
 
+    @pytest.mark.parametrize("big", [Fraction(10**400), Fraction(-(10**400)), Fraction(10**400, 3)])
+    @pytest.mark.parametrize("double", [1.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
+    def test_exact_beyond_the_double_range_is_close_to_no_float(self, big, double):
+        # float(big) overflows; big is finite and farther than any bound from every double
+        assert not scalar_close(big, double)
+        assert not scalar_close(double, big)
+
     @given(st.floats(min_value=-1e9, max_value=1e9))
     def test_float_is_close_to_itself(self, x):
         assert scalar_close(x, x)
