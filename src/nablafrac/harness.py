@@ -47,9 +47,8 @@ from .scalars import (
     to_float,
 )
 from .taylor import (
-    TaylorSeed,
     _check_base_shift,
-    construct_from_taylor_data,
+    _from_taylor_data,
     kernel_sum_closed_form,
     sum_rising_closed_form,
     taylor_extended_series,
@@ -132,7 +131,7 @@ def gen_function(spec: FunctionSpec) -> GridFunction:
         for k in range(spec.m)
     )
     h = tuple(rng.randint(-bound, bound) for _ in range(spec.a + 1, spec.b + 1))
-    return construct_from_taylor_data(TaylorSeed._of(spec.a, spec.m, initial, h))
+    return _from_taylor_data(spec.a, spec.m, initial, h)
 
 
 @dataclass(frozen=True)
@@ -500,6 +499,22 @@ _INEQUALITY_SUITES: Dict[str, Callable[[random.Random, Backend, dict, ToleranceP
 
 INEQUALITY_SUITE_NAMES = tuple(sorted(_INEQUALITY_SUITES))
 
+# Every option some family reads; a family ignores the ones it does not read.
+_SUITE_OPTIONS = ("delta", "g_variant", "gamma", "mu", "mu_list", "p", "r")
+
+
+def _inequality_suite(name: str, backend: Backend, params: dict) -> Tuple[Callable, Backend]:
+    """The trial function and backend of an inequality suite call; an unknown suite
+    or option name is a usage error."""
+    trial_fn, backend = _suite(_INEQUALITY_SUITES, "inequality", name), _backend(backend)
+    unknown = sorted(set(params).difference(_SUITE_OPTIONS))
+    if unknown:
+        raise UsageError(
+            f"unknown inequality suite option{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}; "
+            f"pick from {', '.join(_SUITE_OPTIONS)}"
+        )
+    return trial_fn, backend
+
 
 def run_inequality_suite(
     name: str,
@@ -515,7 +530,7 @@ def run_inequality_suite(
     hold (:attr:`InequalityReport.holds`: NaN first, then an exact certificate,
     then the slack tolerance).
     """
-    trial_fn, backend = _suite(_INEQUALITY_SUITES, "inequality", name), _backend(backend)
+    trial_fn, backend = _inequality_suite(name, backend, params)
 
     def judge(rng: random.Random) -> Tuple[bool, Tuple[float]]:
         report = trial_fn(rng, backend, params, policy)
@@ -540,5 +555,5 @@ def replay_inequality_trial(
     name: str, trial_seed: int, backend: Backend = Backend.EXACT, **params
 ) -> InequalityReport:
     """Re-run the single inequality trial behind a recorded seed."""
-    trial_fn, backend = _suite(_INEQUALITY_SUITES, "inequality", name), _backend(backend)
+    trial_fn, backend = _inequality_suite(name, backend, params)
     return trial_fn(random.Random(_integer(trial_seed, "trial_seed", 0)), backend, params, DEFAULT_TOLERANCE)

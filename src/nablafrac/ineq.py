@@ -62,9 +62,11 @@ Exponent = Union[Fraction, float]
 
 def as_exponent(value) -> Exponent:
     """Normalise an exponent parameter: a string is parsed, integral values
-    become ``Fraction``s, and other rationals and floats stay as they are."""
+    become ``Fraction``s, and other rationals and finite floats stay as they are."""
     if isinstance(value, str):
         return parse_order(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParameterError(f"exponents must be finite, got {value!r}")
     integral, value = _classify_exponent(value)
     return Fraction(value) if integral else value
 

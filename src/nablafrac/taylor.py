@@ -223,14 +223,6 @@ class TaylorSeed:
         object.__setattr__(self, "initial", coerced[: len(initial)])
         object.__setattr__(self, "h", coerced[len(initial):])
 
-    @classmethod
-    def _of(cls, a: int, m: int, initial: tuple, h: tuple) -> "TaylorSeed":
-        """An unchecked seed on library-built values of one backend (ints are exact)."""
-        seed = object.__new__(cls)
-        for name, value in (("a", a), ("m", m), ("initial", initial), ("h", h)):
-            object.__setattr__(seed, name, value)
-        return seed
-
     @property
     def b(self) -> int:
         return self.a + len(self.h)
@@ -249,8 +241,13 @@ def construct_from_taylor_data(seed: TaylorSeed) -> GridFunction:
     prefix sum of ``∇^{k+1} f`` from ``∇^k f(a)``, for k = m−1 down to 0, in
     integers over one common denominator on the exact backend.
     """
-    a, m = seed.a, seed.m
-    values, d = _scaled(seed.initial + seed.h)
+    return _from_taylor_data(seed.a, seed.m, seed.initial, seed.h)
+
+
+def _from_taylor_data(a: int, m: int, initial: tuple, h: tuple) -> GridFunction:
+    """:func:`construct_from_taylor_data` on checked data, or on library-built values
+    of one backend (ints are exact)."""
+    values, d = _scaled(initial + h)
     column, forward = values[:m], values[m:]
     tail = []
     for _ in range(m):

@@ -234,6 +234,22 @@ class TestSuiteOptions:
         with pytest.raises(OrderError, match=f"^{message}$"):
             run_inequality_suite(name, 5, 42, **opts)
 
+    @pytest.mark.parametrize(
+        "opts, names",
+        [({"gama": 3, "dleta": 9}, "options 'dleta', 'gama'"), ({"mu": "5/2", "shift": 1}, "option 'shift'")],
+    )
+    def test_an_unknown_option_is_a_usage_error(self, opts, names):
+        message = f"^unknown inequality suite {names}; pick from delta, g_variant, gamma, mu, mu_list, p, r$"
+        with pytest.raises(UsageError, match=message):
+            run_inequality_suite("poincare", 20, 42, **opts)
+        with pytest.raises(UsageError, match=message):
+            replay_inequality_trial("poincare", self.SEEDS[0], **opts)
+
+    def test_a_known_option_a_family_does_not_read_is_accepted(self):
+        # the CLI passes g_variant to every family, and the bench passes g_variant and r
+        given = run_inequality_suite("poincare", 10, 42, g_variant="tight", r=3)
+        assert given == run_inequality_suite("poincare", 10, 42)
+
 
 class TestDeterminism:
     def test_identity_suite_reruns_identically(self):

@@ -440,6 +440,22 @@ class TestSobolev:
         with pytest.raises(ParameterError):
             sobolev_report(f, 0, 9, FIVE_HALVES, 0, 2, 2, Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, e: sobolev_report(f, 0, 6, "5/2", 0, r=e),
+            lambda f, e: avg_sobolev_report(f, 0, 6, ["5/2"], [unit_weights(1, 6)], r=e),
+            lambda f, e: poincare_report(f, 0, 6, "5/2", 0, gamma=e, delta=1 + 2**-50),
+        ],
+        ids=["sobolev", "avg-sobolev", "poincare"],
+    )
+    @pytest.mark.parametrize("e", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, call, e):
+        # an infinite r would read lhs = 1.0 and hold, and an infinite gamma pass the conjugacy check
+        f = construct_from_taylor_data(TaylorSeed(a=0, m=3, initial=(0, 0, 0), h=(5, 1, -2, 3, 4, 1)))
+        with pytest.raises(ParameterError, match=f"^exponents must be finite, got {e!r}$"):
+            call(f, e)
+
     def test_fractional_norm_exponent(self):
         f = admissible(38, 0, 3, 9, k0=0)
         report = sobolev_report(f, 0, 9, FIVE_HALVES, 0, 2, 2, Fraction(3, 2))
