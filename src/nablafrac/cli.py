@@ -15,7 +15,7 @@ from .errors import NablaFracError, UsageError
 from .fracops import _order, caputo_nabla, frac_sum
 from .grid import GridFunction
 from .gridio import format_scalar, read_grid, render_report, to_json
-from .harness import _INEQUALITY_SUITES, _report, _suite, run_identity_suite, run_inequality_suite
+from .harness import _INEQUALITY_SUITES, _SUITE_OPTIONS, _report, _suite, run_identity_suite, run_inequality_suite
 from .scalars import Backend, DEFAULT_TOLERANCE, parse_order
 from .taylor import remainder_bound, taylor_extended, taylor_fractional, taylor_integer
 
@@ -139,14 +139,13 @@ def _cmd_verify(args) -> int:
 
 
 def _ineq_params(args) -> dict:
-    """The inequality options given on the command line, exponents parsed, and the g-bound."""
-    params = {
+    """The suite options given on the command line, exponents parsed; ``--g-variant``
+    has a default, so it is always given."""
+    return {
         key: parse_order(value) if key in ("gamma", "delta", "r") else value
-        for key in ("mu", "p", "gamma", "delta", "r")
-        if (value := getattr(args, key)) is not None
+        for key in _SUITE_OPTIONS
+        if (value := getattr(args, key, None)) is not None
     }
-    params["g_variant"] = args.g_variant
-    return params
 
 
 def _single_report(args):
