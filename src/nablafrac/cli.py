@@ -13,7 +13,6 @@ import sys
 
 from .errors import NablaFracError, UsageError
 from .fracops import _order, caputo_nabla, frac_sum
-from .grid import GridFunction
 from .gridio import format_scalar, read_grid, render_report, to_json
 from .harness import _INEQUALITY_SUITES, _SUITE_OPTIONS, _report, _suite, run_identity_suite, run_inequality_suite
 from .scalars import Backend, DEFAULT_TOLERANCE, parse_order
@@ -22,32 +21,23 @@ from .taylor import remainder_bound, taylor_extended, taylor_fractional, taylor_
 __all__ = ["build_parser", "main"]
 
 
-def _backend(args) -> Backend:
-    return Backend.FLOAT if args.backend == "float" else Backend.EXACT
-
-
-def _load_grid(args) -> GridFunction:
-    if args.input is None:
-        raise UsageError("this command needs --input")
-    return read_grid(args.input, backend=_backend(args))
-
-
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=int, help="base point")
-    sub.add_argument("--b", type=int, help="right endpoint")
-    sub.add_argument("--t", type=int, help="evaluation point")
-    sub.add_argument("--mu", type=str, help="order, e.g. 5/2")
-    sub.add_argument("--nu", type=str, help="sum order, e.g. 1/2")
-    sub.add_argument("--p", type=int, help="difference shift")
-    sub.add_argument("--gamma", type=str, help="first conjugate exponent")
-    sub.add_argument("--delta", type=str, help="second conjugate exponent")
-    sub.add_argument("--r", type=str, help="norm exponent")
-    sub.add_argument("--input", type=str, help="grid file (.csv or .json)")
-    sub.add_argument("--backend", choices=["exact", "float"], default="exact")
-    sub.add_argument("--seed", type=int, default=42, help="master seed")
-    sub.add_argument("--trials", type=int, help="number of randomized trials")
-    sub.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    sub.add_argument("--g-variant", choices=["paper", "tight"], default="paper")
+_FLAGS = {
+    "a": dict(type=int, help="base point"),
+    "b": dict(type=int, help="right endpoint"),
+    "t": dict(type=int, help="evaluation point"),
+    "mu": dict(help="order, e.g. 5/2"),
+    "nu": dict(help="sum order, e.g. 1/2"),
+    "p": dict(type=int, help="difference shift"),
+    "gamma": dict(help="first conjugate exponent"),
+    "delta": dict(help="second conjugate exponent"),
+    "r": dict(help="norm exponent"),
+    "input": dict(help="grid file (.csv or .json)"),
+    "backend": dict(choices=["exact", "float"], default="exact"),
+    "seed": dict(type=int, help="master seed"),
+    "trials": dict(type=int, help="number of randomized trials"),
+    "format": dict(choices=["json", "csv", "table"], default="table"),
+    "g-variant": dict(choices=["paper", "tight"], default="paper"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,12 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete nabla fractional calculus: evaluators and verification harnesses.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common)
-    for name, (_, text) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=text, parents=[common])
-        if name in ("verify", "ineq"):
+    for command, (_, text, flags) in _COMMANDS.items():
+        # no abbreviations: a flag a command does not take must not parse as a longer one
+        sub = commands.add_parser(command, help=text, allow_abbrev=False)
+        if command in ("verify", "ineq"):
             sub.add_argument("suite", type=str, help="suite name")
+        for spec in flags.split():
+            flag, _, default = spec.partition("=")
+            name = flag.rstrip("!")
+            options = dict(_FLAGS[name], required=name != flag)
+            if default:
+                options["default"] = default  # a string default is parsed by the flag's type
+            sub.add_argument("--" + name, **options)
     return parser
 
 
@@ -69,23 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"missing required flag --{name}")
-
-
-def _cmd_eval_sum(args) -> int:
-    _require(args, "a", "nu", "t")
-    f = _load_grid(args)
-    print(format_scalar(frac_sum(f, args.a, args.nu, args.t)))
-    return 0
-
-
-def _cmd_eval_caputo(args) -> int:
-    _require(args, "a", "mu", "t")
-    f = _load_grid(args)
-    print(format_scalar(caputo_nabla(f, args.a, args.mu, args.t)))
+def _cmd_eval(args) -> int:
+    """``eval-sum`` and ``eval-caputo``: one scalar, whatever ``--format``."""
+    f = read_grid(args.input, backend=Backend(args.backend))
+    evaluate, order = (frac_sum, args.nu) if args.command == "eval-sum" else (caputo_nabla, args.mu)
+    print(format_scalar(evaluate(f, args.a, order, args.t)))
     return 0
 
 
@@ -99,8 +83,7 @@ def _write_payload(payload: dict, fmt: str) -> None:
 
 
 def _cmd_taylor(args) -> int:
-    _require(args, "a", "mu", "t")
-    f = _load_grid(args)
+    f = read_grid(args.input, backend=Backend(args.backend))
     order = _order(args.mu)
     if order.denominator == 1 and args.p:
         raise UsageError(f"--p {args.p} needs a non-integer --mu; the integer form expands f itself")
@@ -123,17 +106,14 @@ def _cmd_taylor(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    _require(args, "a", "mu", "t")
-    f = _load_grid(args)
-    p = args.p if args.p is not None else 0
-    lhs, rhs = remainder_bound(f, args.a, args.mu, p, args.t)
+    f = read_grid(args.input, backend=Backend(args.backend))
+    lhs, rhs = remainder_bound(f, args.a, args.mu, args.p, args.t)
     _write_payload({"lhs": format_scalar(lhs), "rhs": format_scalar(rhs)}, args.format)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    trials = args.trials if args.trials is not None else 200
-    result = run_identity_suite(args.suite, trials, args.seed, _backend(args))
+    result = run_identity_suite(args.suite, args.trials, args.seed, Backend(args.backend))
     sys.stdout.write(render_report(result, args.format))
     return 0 if result.passed else 1
 
@@ -151,36 +131,45 @@ def _ineq_params(args) -> dict:
 def _single_report(args):
     name = args.suite
     _suite(_INEQUALITY_SUITES, "inequality", name)  # an unknown name fails before the file is read
-    f = _load_grid(args)
+    f = read_grid(args.input, backend=Backend(args.backend))
     opts = _ineq_params(args)
     flags = {"opial": ("a", "t", "mu"), "opial-25": ("t",)}.get(name, ("a", "b", "mu"))
-    _require(args, *flags)
+    for key in flags:  # argparse cannot require them: they depend on NAME
+        if getattr(args, key) is None:
+            raise UsageError(f"missing required flag --{key}")
     end = args.b if "b" in flags else args.t
     mu = [args.mu] if name == "avg-sobolev" else args.mu
     return _report(name, f, args.a, end, mu, args.p, opts, DEFAULT_TOLERANCE)
 
 
 def _cmd_ineq(args) -> int:
-    if args.input is not None:
-        report = _single_report(args)
-        sys.stdout.write(render_report(report, args.format))
-        return 0 if report.holds else 1
-    trials = args.trials if args.trials is not None else 1000
-    result = run_inequality_suite(
-        args.suite, trials, args.seed, _backend(args), **_ineq_params(args)
-    )
+    """A suite run reads no point or end; a single report (``--input``) no trial count or seed."""
+    single = args.input is not None
+    for key in ("trials", "seed") if single else ("a", "b", "t"):
+        if getattr(args, key) is not None:
+            raise UsageError(f"{'a single report (--input)' if single else 'a suite run'} does not read --{key}")
+    if single:
+        result = _single_report(args)
+    else:
+        trials, seed = (1000 if args.trials is None else args.trials), (42 if args.seed is None else args.seed)
+        result = run_inequality_suite(args.suite, trials, seed, Backend(args.backend), **_ineq_params(args))
     sys.stdout.write(render_report(result, args.format))
-    return 0 if result.passed else 1
+    return 0 if (result.holds if single else result.passed) else 1
 
 
-# The one command table: name -> (handler, help text), in the order of the help.
+# The one command table: name -> (handler, help text, flags), in the order of the help.  Each
+# command takes only the flags the handler reads ("a!" required, "p=0" default 0): argparse refuses others.
+_GRID = "input! a! mu! t! p=0 backend format"
+_ALL_BUT_NU = " ".join(flag for flag in _FLAGS if flag != "nu")
 _COMMANDS = {
-    "eval-sum": (_cmd_eval_sum, "evaluate a fractional sum at one point"),
-    "eval-caputo": (_cmd_eval_caputo, "evaluate the Caputo-like difference at one point"),
-    "taylor": (_cmd_taylor, "evaluate a discrete Taylor representation"),
-    "bound": (_cmd_bound, "evaluate the remainder bound"),
-    "verify": (_cmd_verify, "run a randomized identity suite"),
-    "ineq": (_cmd_ineq, "run an inequality suite, or evaluate one report with --input"),
+    "eval-sum": (_cmd_eval, "evaluate a fractional sum at one point", "input! a! nu! t! backend format"),
+    "eval-caputo": (
+        _cmd_eval, "evaluate the Caputo-like difference at one point", "input! a! mu! t! backend format"
+    ),
+    "taylor": (_cmd_taylor, "evaluate a discrete Taylor representation", _GRID),
+    "bound": (_cmd_bound, "evaluate the remainder bound", _GRID),
+    "verify": (_cmd_verify, "run a randomized identity suite", "backend seed=42 trials=200 format"),
+    "ineq": (_cmd_ineq, "run an inequality suite, or evaluate one report with --input", _ALL_BUT_NU),
 }
 
 
@@ -191,10 +180,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command][0](args)
-    except NablaFracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NablaFracError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -81,12 +81,21 @@ def _root(x: Scalar, e: Exponent) -> Scalar:
     return v ** (1.0 / float(e))
 
 
-def _powers(nums: Iterable, d, e: Exponent) -> tuple:
+def _powers(nums: Iterable, d, e: Exponent, floated: bool = False) -> tuple:
     """``(x/d)^e`` for each ``x`` of a scaled sequence, scaled: a list of integers over
     ``d^e`` for exact values and an integral ``e``, else an iterator of floats (``x/d``
-    rounds as ``float()``).  Every power of the bound evaluators is raised here."""
+    rounds as ``float()``).  Every power of the bound evaluators is raised here.  With ``floated``
+    the caller passes values ≥ 0 and floats a sum holding each power (or a power ≥ 1 of it), or
+    ``rhs`` and ``slack`` beside it: a power past ``2^1025`` overflows there, so it does here."""
     integral, k = _classify_exponent(e)
     if integral and not isinstance(d, float):
+        nums = list(nums)
+        top = max(nums, default=0) if floated else 0
+        if top > d:
+            # log2(top/d) from below: math.log2 of an int errs by a few ulps of its bit length
+            bits = math.log2(top) - math.log2(d) - 1e-12 * (top.bit_length() + d.bit_length())
+            if bits > 0 and k > 1025 / bits:
+                raise OverflowError("an exact power exceeds 2**1025")
         return [x**k for x in nums], d**k
     xs = nums if isinstance(d, float) else map(truediv, nums, repeat(d))  # a float scale is 1.0
     return map(pow, xs, repeat(k if integral else float(e))), 1.0  # a float to a Fraction e is to float(e)
@@ -94,8 +103,9 @@ def _powers(nums: Iterable, d, e: Exponent) -> tuple:
 
 def _power_sum(nums: Sequence, d, e: Exponent) -> Scalar:
     """``Σ (x/d)^e`` over a scaled sequence, added left to right from 0: a
-    ``Fraction`` for exact values and an integral ``e``, else a float."""
-    powers, dp = _powers(nums, d, e)
+    ``Fraction`` for exact values and an integral ``e``, else a float.  Every caller
+    passes non-negative values and takes the float of the sum (``floated``)."""
+    powers, dp = _powers(nums, d, e, floated=True)
     return _scalar(_added(powers), dp)
 
 
@@ -312,8 +322,9 @@ def opial_report(
     cn, dc = _caputo(f, a + 1, mu, t)
     (cs, dcs), (ds, dd) = _scaled(c), _scaled(d)
 
-    # g = Σ (C·|cap|)^δ, and θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ in ascending τ
-    g_pow, dg = _powers([x * abs(y) for x, y in zip(cs, cn)], dcs * dc, delta)
+    # g = Σ (C·|cap|)^δ, and θ(tp)^γ = Σ_{τ=a+1}^{tp} (w(tp−τ+1)/C(τ))^γ in ascending τ;
+    # every prefix of g is floated, but w^γ, (1/C)^γ and (D/C)^γ only in products
+    g_pow, dg = _powers([x * abs(y) for x, y in zip(cs, cn)], dcs * dc, delta, floated=True)
     g_nums = list(accumulate(g_pow))
     wn, dw = _scaled_kernel(mu - p, t - a, f.backend)
     wp, dwp = _powers(wn, dw, gamma)
@@ -420,8 +431,9 @@ def _kernel_power_sums(
 
     The inner sum at ``j`` is ``Σ_{n<j−a} w[n]^γ``.  Exact integral powers make
     it an integer prefix sum, O(N) in all; float terms are added as
-    ``w[j−a−1]^γ, …, w[0]^γ`` (descending n), which fixes their bits."""
-    powers, dp = _powers(*_scaled_kernel(order, b - a, backend), gamma)
+    ``w[j−a−1]^γ, …, w[0]^γ`` (descending n), which fixes their bits.  Both callers take
+    the float of the result, a power ≥ 1 of the last inner sum or a float of it (``floated``)."""
+    powers, dp = _powers(*_scaled_kernel(order, b - a, backend), gamma, floated=True)
     if isinstance(dp, float):
         powers = list(powers)
         inner = [_added(powers[j - a - 1 :: -1]) for j in range(a + m_start, b + 1)]

@@ -661,6 +661,30 @@ class TestFloatRange:
             ostrowski_report(f, 0, 10, FIVE_HALVES, 0)
         assert ostrowski_report(self.big_grid(10**200), 0, 10, FIVE_HALVES, 0).holds
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"r": 10**6}, {"r": 1e308}, {"gamma": "1000000", "delta": "1000000/999999"}],
+        ids=["r=10**6", "r=1e308", "gamma=10**6"],
+    )
+    def test_a_huge_integral_exponent_overflows_before_the_power(self, options):
+        # the exact power would have millions of digits (r=1e308: more than memory holds); its size
+        # alone shows that the float of the report overflows, as it does from r = 1000 on
+        f = construct_from_taylor_data(TaylorSeed(a=0, m=3, initial=(0, 0, 0), h=(5, 1, -2, 3, 4, 1)))
+        for r in (1000, options.get("r", 2)):
+            with pytest.raises(DomainError) as caught:
+                sobolev_report(f, 0, 6, "5/2", 0, **{**options, "r": r})
+            assert str(caught.value).startswith("a report value overflows the float range (")
+
+    def test_a_huge_power_that_a_weight_shrinks_is_not_refused(self):
+        # w(6)^400 passes 2^1400, but θ takes it over C^400 = 1000^400: the report is finite
+        f = construct_from_taylor_data(TaylorSeed(a=0, m=3, initial=(0, 0, 0), h=(5, 1, -2, 3, 4, 1)))
+        C, D = GridFunction.constant(1, 6, 1000), GridFunction.constant(3, 6, 1)
+        params = OpialParams(
+            mu=FIVE_HALVES, p=0, gamma=400, delta=Fraction(400, 399), inner_weights=C, outer_weights=D
+        )
+        report = opial_report(f, 0, 6, params)
+        assert math.isfinite(report.components["k_factor"]) and report.lhs > 0
+
 
 class TestRawFormulaOracle:
     """The normalized-kernel implementation against independent brute-force

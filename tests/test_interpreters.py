@@ -21,10 +21,15 @@ SOURCE = Path(__file__).resolve().parent.parent / "src"
 # of each of the first 20 trials (lhs, rhs and every component: theta,
 # kernel_factor, caputo_norm, ...), and the nine identity suites at 20 trials with
 # the (got, want) pairs of each trial, so every float bit of the reports and of
-# the pointwise pairs is compared, on both backends at seed 42.
+# the pointwise pairs is compared, on both backends at seed 42.  Then the exit
+# code of build_parser() for each command with each of the 15 flags and some
+# abbreviations (0 parses, 2 refuses; argparse's wording differs across versions,
+# so its stderr is not compared).
 SCRIPT = textwrap.dedent(
     """
+    import contextlib
     import hashlib
+    import io
 
     from nablafrac import (
         Backend,
@@ -35,6 +40,7 @@ SCRIPT = textwrap.dedent(
         run_identity_suite,
         run_inequality_suite,
     )
+    from nablafrac.cli import build_parser
     from nablafrac.gridio import report_to_dict, suite_to_dict, to_json
 
     INEQUALITIES = (
@@ -48,6 +54,36 @@ SCRIPT = textwrap.dedent(
         ("avg-sobolev", {}),
         ("opial-25", {}),
     )
+
+
+    COMMANDS = {
+        "eval-sum": ["--input", "f.csv", "--a", "0", "--nu", "1/2", "--t", "3"],
+        "eval-caputo": ["--input", "f.csv", "--a", "0", "--mu", "5/2", "--t", "3"],
+        "taylor": ["--input", "f.csv", "--a", "0", "--mu", "5/2", "--t", "3"],
+        "bound": ["--input", "f.csv", "--a", "0", "--mu", "5/2", "--t", "3"],
+        "verify": ["taylor"],
+        "ineq": ["opial"],
+    }
+    FLAGS = "a b t mu nu p gamma delta r input backend seed trials format g-variant".split()
+    VALUES = {"backend": "float", "format": "csv", "g-variant": "tight", "input": "f.csv"}
+    # abbreviations of the flag after the colon
+    SHORT = "tr:trials se:seed inp:input back:backend form:format g-var:g-variant gam:gamma del:delta".split()
+
+
+    def flag_matrix():
+        parser = build_parser()
+        probes = [(f"--{flag}", VALUES.get(flag, "1")) for flag in FLAGS]
+        probes += [(f"--{short}", VALUES.get(flag, "1")) for short, flag in (s.split(":") for s in SHORT)]
+        codes = []
+        for command, head in COMMANDS.items():
+            for argv in [[command]] + [[command, *head, *probe] for probe in probes]:
+                try:
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        parser.parse_args(argv)
+                    codes.append((argv, 0))
+                except SystemExit as exc:
+                    codes.append((argv, exc.code))
+        return codes
 
 
     def mix_digest():
@@ -65,6 +101,7 @@ SCRIPT = textwrap.dedent(
                 for index in range(20):
                     pairs = replay_identity_trial(name, mix_seed(42, index), backend)
                     digest.update(to_json(pairs).encode())
+        digest.update(repr(flag_matrix()).encode())
         return digest.hexdigest()
 
 

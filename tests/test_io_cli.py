@@ -371,9 +371,8 @@ def cube_csv(tmp_path):
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-COMMANDS = ("eval-sum", "eval-caputo", "taylor", "bound", "verify", "ineq")
-# flag -> (text on the command line, parsed value)
-COMMON_FLAGS = {
+# flag -> (text on the command line, parsed value), for every flag of the CLI
+FLAGS = {
     "--a": ("3", 3),
     "--b": ("9", 9),
     "--t": ("5", 5),
@@ -389,6 +388,16 @@ COMMON_FLAGS = {
     "--trials": ("11", 11),
     "--format": ("csv", "csv"),
     "--g-variant": ("tight", "tight"),
+}
+GRID = {"--input", "--a", "--t", "--backend", "--format"}
+# command -> the flags it reads
+READS = {
+    "eval-sum": GRID | {"--nu"},
+    "eval-caputo": GRID | {"--mu"},
+    "taylor": GRID | {"--mu", "--p"},
+    "bound": GRID | {"--mu", "--p"},
+    "verify": {"--trials", "--seed", "--backend", "--format"},
+    "ineq": set(FLAGS) - {"--nu"},
 }
 
 
@@ -434,9 +443,13 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip() == "1.875"
 
-    def test_grid_commands_need_input(self, capsys):
-        assert main(["eval-sum", "--a", "0", "--nu", "1/2", "--t", "2"]) == 2
-        assert capsys.readouterr().err == "error: this command needs --input\n"
+    @pytest.mark.parametrize("command", ["eval-sum", "eval-caputo", "taylor", "bound"])
+    def test_grid_commands_need_input(self, capsys, command):
+        order = "--nu" if command == "eval-sum" else "--mu"
+        assert main([command, "--a", "0", order, "5/2", "--t", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"nablafrac {command}: error: the following arguments are required: --input\n")
 
     def test_eval_caputo(self, cube_csv, capsys):
         code = main(["eval-caputo", "--input", cube_csv, "--a", "1", "--mu", "5/2", "--t", "3"])
@@ -831,12 +844,40 @@ class TestCli:
             assert code == 0 and out and not err
             assert (code, out, err) == in_process(argv)
 
-    def test_every_command_takes_every_common_flag(self):
+    def test_each_command_takes_only_the_flags_it_reads(self, ones_csv, cube_csv):
         parser = build_parser()
-        assert len(COMMON_FLAGS) == 15
-        for command in COMMANDS:
-            head = [command, "opial"] if command in ("verify", "ineq") else [command]
-            for flag, (text, value) in COMMON_FLAGS.items():
-                args = parser.parse_args(head + [flag, text])
-                assert args.command == command
-                assert getattr(args, flag[2:].replace("-", "_")) == value
+        assert len(FLAGS) == 15 and sum(map(len, READS.values())) == 44
+        heads = {  # a call that runs as it stands
+            "eval-sum": ["--input", ones_csv, "--a", "0", "--nu", "1/2", "--t", "2"],
+            "eval-caputo": ["--input", cube_csv, "--a", "1", "--mu", "5/2", "--t", "3"],
+            "taylor": ["--input", cube_csv, "--a", "0", "--mu", "5/2", "--t", "3"],
+            "bound": ["--input", cube_csv, "--a", "0", "--mu", "5/2", "--t", "3"],
+            "verify": ["taylor", "--trials", "1"],
+            "ineq": ["ostrowski", "--trials", "1"],
+        }
+        for command, reads in READS.items():
+            head = [command, *heads[command]]
+            assert in_process(head)[0] == 0
+            for flag, (text, value) in FLAGS.items():
+                if flag in reads:
+                    args = parser.parse_args(head + [flag, text])
+                    assert (args.command, getattr(args, flag[2:].replace("-", "_"))) == (command, value)
+                else:
+                    code, out, _ = in_process(head + [flag, text])
+                    assert (code, out) == (2, b""), (command, flag)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("verify taylor --mu 5/2 --p 3 --trials 3", "unrecognized arguments: --mu 5/2 --p 3"),
+            ("verify taylor --t 5", "unrecognized arguments: --t 5"),  # not read as --trials
+            ("verify taylor --tr 3", "unrecognized arguments: --tr 3"),
+            ("ineq sobolev --a 0 --trials 3", "error: a suite run does not read --a"),
+            ("ineq sobolev --input F --a 0 --b 8 --mu 5/2 --trials 3", "report (--input) does not read --trials"),
+            ("ineq opial --input F --a 0 --t 6 --mu 5/2 --seed 42", "report (--input) does not read --seed"),
+        ],
+    )
+    def test_a_flag_the_call_does_not_read_is_refused(self, argv, err):
+        code, out, got = in_process(argv.split())
+        assert (code, out) == (2, b"")
+        assert got.decode().splitlines()[-1].endswith(err)  # argparse prints a usage line first
